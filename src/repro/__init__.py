@@ -30,80 +30,50 @@ Quickstart
 ('IAP-II', 2)
 """
 
-from repro.core import (
-    Classification,
-    FlexibilityScore,
-    Granularity,
-    Link,
-    LinkKind,
-    LinkSite,
-    MachineType,
-    Multiplicity,
-    ProcessingType,
-    ReproError,
-    Signature,
-    TaxonomicName,
-    TaxonomyClass,
-    all_classes,
-    class_by_name,
-    class_by_serial,
-    classify,
-    compare_names,
-    flexibility,
-    implementable_classes,
-    make_signature,
-    similarity,
-)
-from repro.models import (
-    AreaModel,
-    ConfigBitsModel,
-    estimate_area,
-    estimate_config_bits,
-)
-from repro.registry import (
-    ArchitectureRecord,
-    all_architectures,
-    architecture,
-    flexibility_ranking,
-    survey_table,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Classification",
-    "FlexibilityScore",
-    "Granularity",
-    "Link",
-    "LinkKind",
-    "LinkSite",
-    "MachineType",
-    "Multiplicity",
-    "ProcessingType",
-    "ReproError",
-    "Signature",
-    "TaxonomicName",
-    "TaxonomyClass",
-    "all_classes",
-    "class_by_name",
-    "class_by_serial",
-    "classify",
-    "compare_names",
-    "flexibility",
-    "implementable_classes",
-    "make_signature",
-    "similarity",
-    # models
-    "AreaModel",
-    "ConfigBitsModel",
-    "estimate_area",
-    "estimate_config_bits",
-    # registry
-    "ArchitectureRecord",
-    "all_architectures",
-    "architecture",
-    "flexibility_ranking",
-    "survey_table",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "Classification",
+            "FlexibilityScore",
+            "Granularity",
+            "Link",
+            "LinkKind",
+            "LinkSite",
+            "MachineType",
+            "Multiplicity",
+            "ProcessingType",
+            "ReproError",
+            "Signature",
+            "TaxonomicName",
+            "TaxonomyClass",
+            "all_classes",
+            "class_by_name",
+            "class_by_serial",
+            "classify",
+            "compare_names",
+            "flexibility",
+            "implementable_classes",
+            "make_signature",
+            "similarity",
+        ),
+        "models": (
+            "AreaModel",
+            "ConfigBitsModel",
+            "estimate_area",
+            "estimate_config_bits",
+        ),
+        "registry": (
+            "ArchitectureRecord",
+            "all_architectures",
+            "architecture",
+            "flexibility_ranking",
+            "survey_table",
+        ),
+    },
+)
+__all__.insert(0, "__version__")

@@ -3,61 +3,26 @@ flexibility/area/configuration Pareto analysis (§III-B/C/D), the design-
 space exploration workflow of §V, and the morphability order behind the
 flexibility ladder."""
 
-from repro.analysis.dse import (
-    Objective,
-    Recommendation,
-    Requirements,
-    capabilities_of_class,
-    explore,
-)
-from repro.analysis.morphability import MorphabilityOrder, build_morphability_order
-from repro.analysis.pareto import DesignPoint, evaluate_classes, pareto_frontier
-from repro.analysis.resilience import (
-    DEFAULT_FAULT_RATES,
-    ResiliencePoint,
-    can_remap,
-    degradation_curve,
-    expected_throughput,
-    flexibility_rank_correlation,
-    render_resilience_table,
-    resilience_csv_rows,
-    resilience_sweep,
-)
-from repro.analysis.survey_costs import (
-    SurveyCostPoint,
-    evaluate_survey,
-    survey_cost_table,
-)
-from repro.analysis.similarity import (
-    SimilarityMatrix,
-    nearest_neighbours,
-    survey_similarity,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Objective",
-    "Recommendation",
-    "Requirements",
-    "capabilities_of_class",
-    "explore",
-    "MorphabilityOrder",
-    "build_morphability_order",
-    "DesignPoint",
-    "evaluate_classes",
-    "pareto_frontier",
-    "DEFAULT_FAULT_RATES",
-    "ResiliencePoint",
-    "can_remap",
-    "degradation_curve",
-    "expected_throughput",
-    "flexibility_rank_correlation",
-    "render_resilience_table",
-    "resilience_csv_rows",
-    "resilience_sweep",
-    "SurveyCostPoint",
-    "evaluate_survey",
-    "survey_cost_table",
-    "SimilarityMatrix",
-    "nearest_neighbours",
-    "survey_similarity",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "dse": ("Objective", "Recommendation", "Requirements", "capabilities_of_class", "explore"),
+        "morphability": ("MorphabilityOrder", "build_morphability_order"),
+        "pareto": ("DesignPoint", "evaluate_classes", "pareto_frontier"),
+        "resilience": (
+            "DEFAULT_FAULT_RATES",
+            "ResiliencePoint",
+            "can_remap",
+            "degradation_curve",
+            "expected_throughput",
+            "flexibility_rank_correlation",
+            "render_resilience_table",
+            "resilience_csv_rows",
+            "resilience_sweep",
+        ),
+        "survey_costs": ("SurveyCostPoint", "evaluate_survey", "survey_cost_table"),
+        "similarity": ("SimilarityMatrix", "nearest_neighbours", "survey_similarity"),
+    },
+)

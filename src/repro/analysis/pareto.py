@@ -20,14 +20,8 @@ from repro.core.taxonomy import TaxonomyClass, implementable_classes
 from repro.models.area import AreaModel
 from repro.models.configbits import ConfigBitsModel
 from repro.obs import trace as _trace
-from repro.perf import (
-    ModelCache,
-    ShardedCheckpoint,
-    SweepCheckpoint,
-    evaluate_models,
-    fabric_sweep,
-    sweep,
-)
+from repro.perf.cache import ModelCache, evaluate_models
+from repro.perf.engine import sweep
 
 __all__ = ["DesignPoint", "evaluate_classes", "pareto_frontier"]
 
@@ -203,12 +197,16 @@ def evaluate_classes(
             "classes": [cls.serial for cls in implementable],
             "models": [repr(area_model), repr(config_model)],
         }
+        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+
         opener = ShardedCheckpoint if workers else SweepCheckpoint
         checkpoint = opener.open("classes", spec, directory=checkpoint_dir)
     chosen_executor = "serial" if jobs == 1 else executor
     try:
         with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n, jobs=jobs):
             if workers:
+                from repro.perf.fabric import fabric_sweep
+
                 result = fabric_sweep(
                     worker,
                     implementable,

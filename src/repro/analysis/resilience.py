@@ -45,7 +45,7 @@ from repro.core.errors import FaultError
 from repro.core.connectivity import LINK_SITES, LinkKind
 from repro.core.signature import Signature
 from repro.obs import trace as _trace
-from repro.perf import ShardedCheckpoint, SweepCheckpoint, fabric_sweep, sweep
+from repro.perf.engine import sweep
 from repro.registry.survey import SurveyEntry, survey_table
 
 __all__ = [
@@ -219,6 +219,8 @@ def resilience_sweep(
             "spares": spares,
             "entries": [entry.name for entry in rows],
         }
+        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+
         opener = ShardedCheckpoint if workers else SweepCheckpoint
         checkpoint = opener.open("resilience", spec, directory=checkpoint_dir)
     chosen_executor = "serial" if jobs == 1 else executor
@@ -232,6 +234,8 @@ def resilience_sweep(
             jobs=jobs,
         ):
             if workers:
+                from repro.perf.fabric import fabric_sweep
+
                 result = fabric_sweep(
                     worker,
                     rows,

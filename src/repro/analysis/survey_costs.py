@@ -20,14 +20,8 @@ from repro.models.configbits import ConfigBitsModel
 from repro.models.energy import EnergyModel
 from repro.models.reconfiguration import ReconfigurationModel, ReconfigurationPort
 from repro.obs import trace as _trace
-from repro.perf import (
-    ModelCache,
-    ShardedCheckpoint,
-    SweepCheckpoint,
-    evaluate_models,
-    fabric_sweep,
-    sweep,
-)
+from repro.perf.cache import ModelCache, evaluate_models
+from repro.perf.engine import sweep
 from repro.registry.architectures import all_architectures
 from repro.registry.record import ArchitectureRecord
 
@@ -213,6 +207,8 @@ def evaluate_survey(
             "records": [record.name for record in records],
             "models": [repr(model) for model in custom],
         }
+        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+
         opener = ShardedCheckpoint if workers else SweepCheckpoint
         checkpoint = opener.open("costs", spec, directory=checkpoint_dir)
     try:
@@ -220,6 +216,8 @@ def evaluate_survey(
             "analysis.survey_costs", architectures=len(records), default_n=default_n, jobs=jobs
         ):
             if workers:
+                from repro.perf.fabric import fabric_sweep
+
                 result = fabric_sweep(
                     worker,
                     records,

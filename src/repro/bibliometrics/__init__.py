@@ -2,20 +2,12 @@
 corpus standing in for the IEEE database, plus the trend analytics that
 recompute the figure's series by querying it."""
 
-from repro.bibliometrics.corpus import (
-    DEFAULT_TOPICS,
-    Publication,
-    PublicationCorpus,
-    Topic,
-)
-from repro.bibliometrics.trends import TopicTrend, TrendReport, compute_trends
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TOPICS",
-    "Publication",
-    "PublicationCorpus",
-    "Topic",
-    "TopicTrend",
-    "TrendReport",
-    "compute_trends",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "corpus": ("DEFAULT_TOPICS", "Publication", "PublicationCorpus", "Topic"),
+        "trends": ("TopicTrend", "TrendReport", "compute_trends"),
+    },
+)

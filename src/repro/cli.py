@@ -24,34 +24,12 @@ import argparse
 import contextlib
 import sys
 
-from repro.analysis.dse import Objective, Requirements, explore
-from repro.core.classify import classify
 from repro.core.errors import FabricError, FaultError, ReproError
-from repro.core.signature import make_signature
-from repro.registry.architectures import architecture
-from repro.registry.survey import errata_report
-from repro.reporting.figures import (
-    render_fig1,
-    render_fig2,
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_fig7,
-)
-from repro.reporting.tables import render_table1, render_table2, render_table3
 
 __all__ = ["main", "build_parser"]
 
-_FIGURES = {
-    1: render_fig1,
-    2: render_fig2,
-    3: render_fig3,
-    4: render_fig4,
-    5: render_fig5,
-    6: render_fig6,
-    7: render_fig7,
-}
+#: Figure numbers ``fig`` renders: ``render_fig<N>`` in :mod:`repro.reporting.figures`.
+_FIGURE_NUMBERS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     fig_parser = sub.add_parser("fig", help="render a figure (1..7)")
-    fig_parser.add_argument("number", type=int, choices=sorted(_FIGURES))
+    fig_parser.add_argument("number", type=int, choices=_FIGURE_NUMBERS)
 
     classify_parser = sub.add_parser(
         "classify", help="classify an architecture from its structure"
@@ -652,11 +630,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     circuit breaker and ``/v1/readyz`` behaviour can be demonstrated
     without real failures.
     """
-    from repro.faults import FaultPlan
     from repro.serve import BreakerPolicy, ServerConfig, run_server
 
     fault_plan = None
     if args.fault_seed is not None:
+        from repro.faults.plan import FaultPlan
+
         fault_plan = FaultPlan.random(
             args.fault_seed, args.fault_rate, n_pes=64, horizon=64
         )
@@ -946,15 +925,21 @@ def _run_faults(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "table1":
-        print(render_table1(markdown=args.markdown))
-    elif args.command == "table2":
-        print(render_table2(markdown=args.markdown))
-    elif args.command == "table3":
-        print(render_table3(markdown=args.markdown))
+    # Each command imports what it runs, so ``table1`` never pays for
+    # NumPy, networkx or the sweep engine.
+    if args.command in ("table1", "table2", "table3"):
+        from repro.reporting import tables
+
+        render = getattr(tables, f"render_{args.command}")
+        print(render(markdown=args.markdown))
     elif args.command == "fig":
-        print(_FIGURES[args.number]())
+        from repro.reporting import figures
+
+        print(getattr(figures, f"render_fig{args.number}")())
     elif args.command == "classify":
+        from repro.core.classify import classify
+        from repro.core.signature import make_signature
+
         signature = make_signature(
             args.ips,
             args.dps,
@@ -966,12 +951,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         print(classify(signature).explain())
     elif args.command == "explain":
+        from repro.registry.architectures import architecture
+
         record = architecture(args.name)
         print(f"{record.name} ({record.year}) — {record.family.value}")
         print(record.description)
         print()
         print(record.classification.explain())
     elif args.command == "dse":
+        from repro.analysis.dse import Objective, Requirements, explore
+
         objective = {
             "config": Objective.CONFIG_BITS,
             "area": Objective.AREA,
@@ -1020,6 +1009,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(path)
         print(f"wrote {len(files)} artifact files to {args.outdir}")
     elif args.command == "errata":
+        from repro.registry.survey import errata_report
+
         report = errata_report()
         print("\n".join(report) if report else "no discrepancies")
     elif args.command == "audit":

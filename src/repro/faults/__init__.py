@@ -11,23 +11,13 @@ survivors or spares, degrade); and
 survey to measure how gracefully each class's throughput degrades.
 """
 
-from repro.faults.plan import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    FaultSeverity,
-)
-from repro.faults.policy import FaultPolicy, PolicyKind
-from repro.faults.runtime import FaultRuntime
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSeverity",
-    "FaultPolicy",
-    "PolicyKind",
-    "FaultRuntime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "plan": ("FaultEvent", "FaultInjector", "FaultKind", "FaultPlan", "FaultSeverity"),
+        "policy": ("FaultPolicy", "PolicyKind"),
+        "runtime": ("FaultRuntime",),
+    },
+)

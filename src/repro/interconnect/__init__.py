@@ -2,40 +2,25 @@
 taxonomy's ``'-'`` and ``'x'`` cells, with routing, timing, area and
 configuration-bit accounting."""
 
-from repro.interconnect.bus import BusSchedule, SharedBus
-from repro.interconnect.crossbar import FullCrossbar, LimitedCrossbar
-from repro.interconnect.direct import Broadcast, PointToPoint
-from repro.interconnect.hierarchical import HierarchicalNetwork
-from repro.interconnect.mesh import Mesh2D, MeshSimulationResult
-from repro.interconnect.omega import OmegaNetwork
-from repro.interconnect.metrics import (
-    InterconnectProfile,
-    bisection_width,
-    diameter,
-    mean_distance,
-    profile,
-)
-from repro.interconnect.topology import Interconnect, Route, TrafficStats
-from repro.interconnect.window import SlidingWindow
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Interconnect",
-    "Route",
-    "TrafficStats",
-    "PointToPoint",
-    "Broadcast",
-    "SharedBus",
-    "BusSchedule",
-    "FullCrossbar",
-    "LimitedCrossbar",
-    "Mesh2D",
-    "OmegaNetwork",
-    "MeshSimulationResult",
-    "SlidingWindow",
-    "HierarchicalNetwork",
-    "InterconnectProfile",
-    "profile",
-    "diameter",
-    "mean_distance",
-    "bisection_width",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "topology": ("Interconnect", "Route", "TrafficStats"),
+        "direct": ("PointToPoint", "Broadcast"),
+        "bus": ("SharedBus", "BusSchedule"),
+        "crossbar": ("FullCrossbar", "LimitedCrossbar"),
+        "mesh": ("Mesh2D", "MeshSimulationResult"),
+        "omega": ("OmegaNetwork",),
+        "window": ("SlidingWindow",),
+        "hierarchical": ("HierarchicalNetwork",),
+        "metrics": (
+            "InterconnectProfile",
+            "profile",
+            "diameter",
+            "mean_distance",
+            "bisection_width",
+        ),
+    },
+)

@@ -3,74 +3,30 @@ data-flow engines (DUP/DMP), the Von Neumann uni-processor (IUP), SIMD
 array processors (IAP), MIMD multiprocessors (IMP), spatially-composable
 processors (ISP) and the LUT-fabric universal machine (USP)."""
 
-from repro.machine.array_processor import ArrayProcessor, ArraySubtype
-from repro.machine.base import Capability, ExecutionResult, check_capabilities
-from repro.machine.dataflow import (
-    DataflowGraph,
-    DataflowMachine,
-    DataflowSubtype,
-    DFNode,
-    DFOp,
-)
-from repro.machine.fabric import CellConfig, LutFabric
-from repro.machine.instruction import Uniprocessor
-from repro.machine.morph import MorphDemonstration, can_emulate, demonstrate_morphs
-from repro.machine.multiprocessor import Multiprocessor, MultiprocessorSubtype
-from repro.machine.netlist import Bus, NetlistBuilder
-from repro.machine.program import (
-    Instruction,
-    NUM_REGISTERS,
-    Opcode,
-    Program,
-    assemble,
-    ins,
-    required_capabilities,
-)
-from repro.machine.scalar import ExtensionPort, ScalarCore, StepOutcome
-from repro.machine.spatial import SpatialMachine, VliwBundle, VliwProgram
-from repro.machine.universal import (
-    SoftInstruction,
-    SoftOp,
-    SoftProgram,
-    UniversalMachine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Capability",
-    "ExecutionResult",
-    "check_capabilities",
-    "DFOp",
-    "DFNode",
-    "DataflowGraph",
-    "DataflowMachine",
-    "DataflowSubtype",
-    "Uniprocessor",
-    "ArrayProcessor",
-    "ArraySubtype",
-    "Multiprocessor",
-    "MultiprocessorSubtype",
-    "SpatialMachine",
-    "VliwBundle",
-    "VliwProgram",
-    "CellConfig",
-    "LutFabric",
-    "Bus",
-    "NetlistBuilder",
-    "UniversalMachine",
-    "SoftOp",
-    "SoftInstruction",
-    "SoftProgram",
-    "Instruction",
-    "NUM_REGISTERS",
-    "Opcode",
-    "Program",
-    "assemble",
-    "ins",
-    "required_capabilities",
-    "ExtensionPort",
-    "ScalarCore",
-    "StepOutcome",
-    "MorphDemonstration",
-    "can_emulate",
-    "demonstrate_morphs",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "base": ("Capability", "ExecutionResult", "check_capabilities"),
+        "dataflow": ("DFOp", "DFNode", "DataflowGraph", "DataflowMachine", "DataflowSubtype"),
+        "instruction": ("Uniprocessor",),
+        "array_processor": ("ArrayProcessor", "ArraySubtype"),
+        "multiprocessor": ("Multiprocessor", "MultiprocessorSubtype"),
+        "spatial": ("SpatialMachine", "VliwBundle", "VliwProgram"),
+        "fabric": ("CellConfig", "LutFabric"),
+        "netlist": ("Bus", "NetlistBuilder"),
+        "universal": ("UniversalMachine", "SoftOp", "SoftInstruction", "SoftProgram"),
+        "program": (
+            "Instruction",
+            "NUM_REGISTERS",
+            "Opcode",
+            "Program",
+            "assemble",
+            "ins",
+            "required_capabilities",
+        ),
+        "scalar": ("ExtensionPort", "ScalarCore", "StepOutcome"),
+        "morph": ("MorphDemonstration", "can_emulate", "demonstrate_morphs"),
+    },
+)

@@ -2,61 +2,35 @@
 (configuration bits), with the switch-cost and technology-node libraries
 they are parameterised by."""
 
-from repro.models.area import AreaBreakdown, AreaModel, ComponentAreas, estimate_area
-from repro.models.energy import EnergyBreakdown, EnergyModel, EnergyParameters
-from repro.models.reconfiguration import (
-    ReconfigurationCost,
-    ReconfigurationModel,
-    ReconfigurationPort,
-)
-from repro.models.configbits import (
-    ComponentConfigWords,
-    ConfigBitsBreakdown,
-    ConfigBitsModel,
-    estimate_config_bits,
-)
-from repro.models.switches import (
-    DirectLinkModel,
-    FullCrossbarModel,
-    LimitedCrossbarModel,
-    SharedBusModel,
-    SwitchModel,
-    default_switch_model,
-)
-from repro.models.technology import (
-    NODE_28NM,
-    NODE_45NM,
-    NODE_65NM,
-    NODE_90NM,
-    NODES,
-    TechnologyNode,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EnergyBreakdown",
-    "EnergyModel",
-    "EnergyParameters",
-    "ReconfigurationCost",
-    "ReconfigurationModel",
-    "ReconfigurationPort",
-    "AreaBreakdown",
-    "AreaModel",
-    "ComponentAreas",
-    "estimate_area",
-    "ComponentConfigWords",
-    "ConfigBitsBreakdown",
-    "ConfigBitsModel",
-    "estimate_config_bits",
-    "SwitchModel",
-    "DirectLinkModel",
-    "SharedBusModel",
-    "FullCrossbarModel",
-    "LimitedCrossbarModel",
-    "default_switch_model",
-    "TechnologyNode",
-    "NODES",
-    "NODE_90NM",
-    "NODE_65NM",
-    "NODE_45NM",
-    "NODE_28NM",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "energy": ("EnergyBreakdown", "EnergyModel", "EnergyParameters"),
+        "reconfiguration": ("ReconfigurationCost", "ReconfigurationModel", "ReconfigurationPort"),
+        "area": ("AreaBreakdown", "AreaModel", "ComponentAreas", "estimate_area"),
+        "configbits": (
+            "ComponentConfigWords",
+            "ConfigBitsBreakdown",
+            "ConfigBitsModel",
+            "estimate_config_bits",
+        ),
+        "switches": (
+            "SwitchModel",
+            "DirectLinkModel",
+            "SharedBusModel",
+            "FullCrossbarModel",
+            "LimitedCrossbarModel",
+            "default_switch_model",
+        ),
+        "technology": (
+            "TechnologyNode",
+            "NODES",
+            "NODE_90NM",
+            "NODE_65NM",
+            "NODE_45NM",
+            "NODE_28NM",
+        ),
+    },
+)

@@ -19,61 +19,37 @@ stands on. It is dependency-free and has three layers, cheapest first:
 See ``docs/observability.md`` for the guided tour.
 """
 
-from repro.obs.metrics import (
-    DURATION_BUCKETS_S,
-    PROMETHEUS_PREFIX,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-    registry,
-    render_prometheus,
-)
-from repro.obs.profile import ProfileReport, Profiler, profile_call
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    Span,
-    SpanEvent,
-    Tracer,
-    add_event,
-    current_span,
-    disable,
-    enable,
-    enabled,
-    reset,
-    span,
-    tracer,
-    validate_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # metrics
-    "DURATION_BUCKETS_S",
-    "PROMETHEUS_PREFIX",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "REGISTRY",
-    "registry",
-    "render_prometheus",
-    # profiling
-    "ProfileReport",
-    "Profiler",
-    "profile_call",
-    # tracing
-    "TRACE_SCHEMA_VERSION",
-    "Span",
-    "SpanEvent",
-    "Tracer",
-    "add_event",
-    "current_span",
-    "disable",
-    "enable",
-    "enabled",
-    "reset",
-    "span",
-    "tracer",
-    "validate_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "metrics": (
+            "DURATION_BUCKETS_S",
+            "PROMETHEUS_PREFIX",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "REGISTRY",
+            "registry",
+            "render_prometheus",
+        ),
+        "profile": ("ProfileReport", "Profiler", "profile_call"),
+        "trace": (
+            "TRACE_SCHEMA_VERSION",
+            "Span",
+            "SpanEvent",
+            "Tracer",
+            "add_event",
+            "current_span",
+            "disable",
+            "enable",
+            "enabled",
+            "reset",
+            "span",
+            "tracer",
+            "validate_trace",
+        ),
+    },
+)

@@ -33,76 +33,43 @@ are built on this engine; see ``docs/performance.md`` and
 ``docs/robustness.md``.
 """
 
-from repro.perf.cache import (
-    DEFAULT_CACHE,
-    CacheStats,
-    ModelCache,
-    ModelEstimates,
-    evaluate_models,
-)
-from repro.perf.engine import (
-    EXECUTORS,
-    ON_ERROR_POLICIES,
-    POINT_STATUSES,
-    PointResult,
-    PointTimeout,
-    RetryPolicy,
-    SweepResult,
-    resolve_jobs,
-    sweep,
-)
-from repro.perf.fabric import (
-    FABRIC_PROTOCOL,
-    FABRIC_PROTOCOLS,
-    WORKER_ENV,
-    FabricWorker,
-    MembershipPolicy,
-    fabric_sweep,
-    fleet_health,
-    parse_endpoints,
-)
-from repro.perf.journal import (
-    DEFAULT_SHARDS,
-    JournalEntry,
-    JournalLock,
-    ShardedCheckpoint,
-    SweepCheckpoint,
-    checkpoint_directory,
-    merge_journal_loads,
-    spec_digest,
-)
-from repro.perf.supervisor import WorkerSupervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXECUTORS",
-    "ON_ERROR_POLICIES",
-    "POINT_STATUSES",
-    "PointResult",
-    "PointTimeout",
-    "RetryPolicy",
-    "SweepResult",
-    "resolve_jobs",
-    "sweep",
-    "FABRIC_PROTOCOL",
-    "FABRIC_PROTOCOLS",
-    "WORKER_ENV",
-    "FabricWorker",
-    "MembershipPolicy",
-    "WorkerSupervisor",
-    "fabric_sweep",
-    "fleet_health",
-    "parse_endpoints",
-    "DEFAULT_SHARDS",
-    "JournalEntry",
-    "JournalLock",
-    "ShardedCheckpoint",
-    "SweepCheckpoint",
-    "checkpoint_directory",
-    "merge_journal_loads",
-    "spec_digest",
-    "DEFAULT_CACHE",
-    "CacheStats",
-    "ModelCache",
-    "ModelEstimates",
-    "evaluate_models",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "EXECUTORS",
+            "ON_ERROR_POLICIES",
+            "POINT_STATUSES",
+            "PointResult",
+            "PointTimeout",
+            "RetryPolicy",
+            "SweepResult",
+            "resolve_jobs",
+            "sweep",
+        ),
+        "fabric": (
+            "FABRIC_PROTOCOL",
+            "FABRIC_PROTOCOLS",
+            "WORKER_ENV",
+            "FabricWorker",
+            "MembershipPolicy",
+            "fabric_sweep",
+            "fleet_health",
+            "parse_endpoints",
+        ),
+        "supervisor": ("WorkerSupervisor",),
+        "journal": (
+            "DEFAULT_SHARDS",
+            "JournalEntry",
+            "JournalLock",
+            "ShardedCheckpoint",
+            "SweepCheckpoint",
+            "checkpoint_directory",
+            "merge_journal_loads",
+            "spec_digest",
+        ),
+        "cache": ("DEFAULT_CACHE", "CacheStats", "ModelCache", "ModelEstimates", "evaluate_models"),
+    },
+)

@@ -1,54 +1,36 @@
 """Registry of the 25 architectures surveyed in Table III, with the
 query API used to regenerate the survey table and the Fig.-7 ranking."""
 
-from repro.registry.architectures import (
-    KNOWN_ERRATA,
-    SURVEYED_ARCHITECTURES,
-    all_architectures,
-    architecture,
-    architecture_names,
-    architectures_by_family,
-)
-from repro.registry.custom import CustomEntry, CustomRegistry
-from repro.registry.populations import (
-    POPULATION_MODES,
-    PopulationSpec,
-    class_occupancy,
-    describe_population,
-    generate_batch,
-    generate_signatures,
-)
-from repro.registry.record import ArchitectureFamily, ArchitectureRecord
-from repro.registry.survey import (
-    SurveyEntry,
-    errata_report,
-    flexibility_ranking,
-    group_by_class,
-    most_flexible,
-    survey_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CustomEntry",
-    "CustomRegistry",
-    "ArchitectureFamily",
-    "ArchitectureRecord",
-    "SURVEYED_ARCHITECTURES",
-    "KNOWN_ERRATA",
-    "all_architectures",
-    "architecture",
-    "architecture_names",
-    "architectures_by_family",
-    "POPULATION_MODES",
-    "PopulationSpec",
-    "class_occupancy",
-    "describe_population",
-    "generate_batch",
-    "generate_signatures",
-    "SurveyEntry",
-    "survey_table",
-    "flexibility_ranking",
-    "group_by_class",
-    "most_flexible",
-    "errata_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "custom": ("CustomEntry", "CustomRegistry"),
+        "record": ("ArchitectureFamily", "ArchitectureRecord"),
+        "architectures": (
+            "SURVEYED_ARCHITECTURES",
+            "KNOWN_ERRATA",
+            "all_architectures",
+            "architecture",
+            "architecture_names",
+            "architectures_by_family",
+        ),
+        "populations": (
+            "POPULATION_MODES",
+            "PopulationSpec",
+            "class_occupancy",
+            "describe_population",
+            "generate_batch",
+            "generate_signatures",
+        ),
+        "survey": (
+            "SurveyEntry",
+            "survey_table",
+            "flexibility_ranking",
+            "group_by_class",
+            "most_flexible",
+            "errata_report",
+        ),
+    },
+)

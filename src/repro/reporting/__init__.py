@@ -1,66 +1,43 @@
 """Reporting layer: regenerates the paper's tables (I-III) and figures
 (1-7) from library state, plus JSON/CSV export."""
 
-from repro.reporting.bundle import generate_report
-from repro.reporting.export import (
-    rows_to_csv,
-    signature_from_dict,
-    signature_to_dict,
-    survey_to_json,
-    taxonomy_to_json,
-)
-from repro.reporting.figures import (
-    bar_chart,
-    fig1_series,
-    fig7_series,
-    multi_series_chart,
-    render_fig1,
-    render_fig2,
-    render_fig3,
-    render_fig4,
-    render_fig5,
-    render_fig6,
-    render_fig7,
-    render_structure,
-)
-from repro.reporting.tables import (
-    TABLE1_HEADER,
-    TABLE3_HEADER,
-    format_table,
-    render_table1,
-    render_table2,
-    render_table3,
-    table1_rows,
-    table2_rows,
-    table3_rows,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "generate_report",
-    "format_table",
-    "table1_rows",
-    "table2_rows",
-    "table3_rows",
-    "render_table1",
-    "render_table2",
-    "render_table3",
-    "TABLE1_HEADER",
-    "TABLE3_HEADER",
-    "bar_chart",
-    "multi_series_chart",
-    "fig1_series",
-    "fig7_series",
-    "render_fig1",
-    "render_fig2",
-    "render_fig3",
-    "render_fig4",
-    "render_fig5",
-    "render_fig6",
-    "render_fig7",
-    "render_structure",
-    "signature_to_dict",
-    "signature_from_dict",
-    "taxonomy_to_json",
-    "survey_to_json",
-    "rows_to_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "bundle": ("generate_report",),
+        "tables": (
+            "format_table",
+            "table1_rows",
+            "table2_rows",
+            "table3_rows",
+            "render_table1",
+            "render_table2",
+            "render_table3",
+            "TABLE1_HEADER",
+            "TABLE3_HEADER",
+        ),
+        "figures": (
+            "bar_chart",
+            "multi_series_chart",
+            "fig1_series",
+            "fig7_series",
+            "render_fig1",
+            "render_fig2",
+            "render_fig3",
+            "render_fig4",
+            "render_fig5",
+            "render_fig6",
+            "render_fig7",
+            "render_structure",
+        ),
+        "export": (
+            "signature_to_dict",
+            "signature_from_dict",
+            "taxonomy_to_json",
+            "survey_to_json",
+            "rows_to_csv",
+        ),
+    },
+)

@@ -14,102 +14,47 @@ table, and ``scripts/loadgen.py`` for the closed-loop load generator
 that exercises all of it.
 """
 
-from repro.serve.breaker import BreakerPolicy, BreakerState, CircuitBreaker
-from repro.serve.cache import CACHEABLE_PATHS, ResponseCache
-from repro.serve.errors import (
-    BadRequestError,
-    BreakerOpenError,
-    ConflictError,
-    DeadlineExceededError,
-    DrainingError,
-    InternalError,
-    MethodNotAllowedError,
-    NotFoundError,
-    OverloadedError,
-    RateLimitedError,
-    ServeError,
-    as_serve_error,
-)
-from repro.serve.fleet import FleetBus, merge_metric_snapshots, render_fleet_prometheus
-from repro.serve.jobs import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    JobContext,
-    JobKind,
-    JobManager,
-    JobRecord,
-    JobsApi,
-    JobStore,
-    TransientJobError,
-    fold_events,
-    get_job_kind,
-    job_kinds,
-    register_job_kind,
-)
-from repro.serve.lifecycle import DrainController, install_signal_handlers
-from repro.serve.limits import Deadline, Job, TokenBucket, WorkerPool
-from repro.serve.prefork import run_prefork, supports_prefork
-from repro.serve.router import Request, Response, Router, TaxonomyService
-from repro.serve.server import ServerConfig, ServiceApp, TaxonomyHTTPServer, run_server
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # breaker
-    "BreakerPolicy",
-    "BreakerState",
-    "CircuitBreaker",
-    # cache
-    "CACHEABLE_PATHS",
-    "ResponseCache",
-    # errors
-    "ServeError",
-    "BadRequestError",
-    "NotFoundError",
-    "MethodNotAllowedError",
-    "ConflictError",
-    "RateLimitedError",
-    "OverloadedError",
-    "BreakerOpenError",
-    "DrainingError",
-    "DeadlineExceededError",
-    "InternalError",
-    "as_serve_error",
-    # fleet
-    "FleetBus",
-    "merge_metric_snapshots",
-    "render_fleet_prometheus",
-    # jobs
-    "JOB_STATES",
-    "TERMINAL_STATES",
-    "JobContext",
-    "JobKind",
-    "JobManager",
-    "JobRecord",
-    "JobStore",
-    "JobsApi",
-    "TransientJobError",
-    "fold_events",
-    "get_job_kind",
-    "job_kinds",
-    "register_job_kind",
-    # lifecycle
-    "DrainController",
-    "install_signal_handlers",
-    # limits
-    "Deadline",
-    "Job",
-    "TokenBucket",
-    "WorkerPool",
-    # prefork
-    "run_prefork",
-    "supports_prefork",
-    # routing
-    "Request",
-    "Response",
-    "Router",
-    "TaxonomyService",
-    # server
-    "ServerConfig",
-    "ServiceApp",
-    "TaxonomyHTTPServer",
-    "run_server",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "breaker": ("BreakerPolicy", "BreakerState", "CircuitBreaker"),
+        "cache": ("CACHEABLE_PATHS", "ResponseCache"),
+        "errors": (
+            "ServeError",
+            "BadRequestError",
+            "NotFoundError",
+            "MethodNotAllowedError",
+            "ConflictError",
+            "RateLimitedError",
+            "OverloadedError",
+            "BreakerOpenError",
+            "DrainingError",
+            "DeadlineExceededError",
+            "InternalError",
+            "as_serve_error",
+        ),
+        "fleet": ("FleetBus", "merge_metric_snapshots", "render_fleet_prometheus"),
+        "jobs": (
+            "JOB_STATES",
+            "TERMINAL_STATES",
+            "JobContext",
+            "JobKind",
+            "JobManager",
+            "JobRecord",
+            "JobStore",
+            "JobsApi",
+            "TransientJobError",
+            "fold_events",
+            "get_job_kind",
+            "job_kinds",
+            "register_job_kind",
+        ),
+        "lifecycle": ("DrainController", "install_signal_handlers"),
+        "limits": ("Deadline", "Job", "TokenBucket", "WorkerPool"),
+        "prefork": ("run_prefork", "supports_prefork"),
+        "router": ("Request", "Response", "Router", "TaxonomyService"),
+        "server": ("ServerConfig", "ServiceApp", "TaxonomyHTTPServer", "run_server"),
+    },
+)

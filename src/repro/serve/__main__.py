@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.faults import FaultPlan
 from repro.serve.breaker import BreakerPolicy
 from repro.serve.server import ServerConfig, run_server
 
@@ -40,6 +39,8 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     fault_plan = None
     if args.fault_seed is not None:
+        from repro.faults.plan import FaultPlan
+
         fault_plan = FaultPlan.random(
             args.fault_seed, args.fault_rate, n_pes=64, horizon=64
         )

@@ -29,17 +29,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro.core.classify import classify
 from repro.core.errors import ClassificationError, FaultError, NamingError
 from repro.core.signature import make_signature
 from repro.core.taxonomy import class_by_name, class_by_serial
-from repro.faults import FaultInjector, FaultPlan
 from repro.models.technology import NODES
 from repro.obs import metrics as _metrics
-from repro.perf import ModelCache
-from repro.registry.survey import survey_table
+from repro.perf.cache import ModelCache
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.errors import (
     BadRequestError,
@@ -55,6 +53,9 @@ from repro.serve.validation import (
     require_known,
     string_field,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 __all__ = ["Request", "Response", "Router", "TaxonomyService"]
 
@@ -202,9 +203,11 @@ class TaxonomyService:
         )
         self._cache_lock = threading.Lock()
         self._clock = clock
-        self._fault_injector = (
-            FaultInjector(fault_plan) if fault_plan is not None else None
-        )
+        self._fault_injector = None
+        if fault_plan is not None:
+            from repro.faults.plan import FaultInjector
+
+            self._fault_injector = FaultInjector(fault_plan)
         self._fault_lock = threading.Lock()
         self._protected_calls = 0
         self.router = Router()
@@ -343,6 +346,8 @@ class TaxonomyService:
 
     def handle_survey(self, request: Request) -> Response:
         """The Table-III survey; ``costs=true`` adds sweep-backed estimates."""
+        from repro.registry.survey import survey_table
+
         params = request.params
         require_known(params, ("name", "costs", "n"))
         wanted = string_field(params, "name")

@@ -46,19 +46,17 @@ from __future__ import annotations
 
 import os
 import socket
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 from urllib.parse import urlsplit
 
-from repro.faults import FaultPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.perf import ModelCache
-from repro.perf.fabric import fleet_health
 from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.cache import ResponseCache
 from repro.serve.errors import (
@@ -77,6 +75,10 @@ from repro.serve.validation import (
     parse_query,
     stable_json,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
+    from repro.perf.cache import ModelCache
 
 __all__ = ["ServerConfig", "ServiceApp", "TaxonomyHTTPServer", "run_server"]
 
@@ -205,6 +207,22 @@ class ServerConfig:
             )
 
 
+def _fabric_health() -> "dict[str, Any]":
+    """The sweep fabric's fleet ledger for ``/v1/readyz``.
+
+    A process that never imported :mod:`repro.perf.fabric` never ran a
+    fabric sweep, so its ledger is the empty snapshot the module starts
+    with; returning that here keeps the fabric (and ``multiprocessing``)
+    out of a server that never distributes a sweep. The module can also
+    be mid-import on another thread (a first ``/v1/survey?costs=true``),
+    before ``fleet_health`` exists and before any sweep could publish.
+    """
+    fleet_health = getattr(sys.modules.get("repro.perf.fabric"), "fleet_health", None)
+    if fleet_health is None:
+        return {"active": False, "workers": []}
+    return fleet_health()
+
+
 class ServiceApp:
     """The transport-free admission pipeline around the endpoint router."""
 
@@ -321,7 +339,7 @@ class ServiceApp:
             # The sweep fabric's fleet ledger (live/quarantined/lost
             # workers, rejoin counts, lease latency): orchestrators
             # scaling workers on queue depth read it from here.
-            "fabric": fleet_health(),
+            "fabric": _fabric_health(),
         }
         if self.jobs is not None:
             # The job store is shared by every pre-fork worker, so this
@@ -754,8 +772,6 @@ def run_server(
     workers onto one SO_REUSEPORT-shared port and reports their
     aggregate exit status.
     """
-    import sys
-
     config = config if config is not None else ServerConfig()
     if config.processes > 1:
         from repro.serve.prefork import run_prefork
