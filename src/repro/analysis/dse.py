@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.analysis.pareto import DesignPoint, evaluate_classes
 from repro.core.naming import MachineType
@@ -156,8 +155,6 @@ def explore(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    workers: "str | None" = None,
-    fabric_options: "Mapping[str, Any] | None" = None,
     batch_kernel: bool = True,
 ) -> Recommendation:
     """Rank every implementable class against the requirements.
@@ -167,13 +164,9 @@ def explore(
     ``on_error``/``timeout_s``/``resume`` forward to
     :func:`repro.analysis.pareto.evaluate_classes`, so a long DSE run
     can skip bad points and restart from its checkpoint journal.
-    ``workers`` routes the evaluation over the distributed sweep fabric
-    — the recommendation is byte-identical either way — and
-    ``fabric_options`` carries extra :func:`~repro.perf.fabric_sweep`
-    scheduling knobs along with it. ``batch_kernel``
-    forwards too: single-job runs price all classes through the
-    vectorized :mod:`repro.core.batch` kernel when NumPy is available,
-    again with a byte-identical recommendation.
+    ``batch_kernel`` forwards too: single-job runs price all classes
+    through the vectorized :mod:`repro.core.batch` kernel when NumPy is
+    available, again with a byte-identical recommendation.
     """
     with _trace.span(
         "analysis.dse", objective=objective.name, n=requirements.n, jobs=jobs
@@ -188,8 +181,6 @@ def explore(
             timeout_s=timeout_s,
             resume=resume,
             checkpoint_dir=checkpoint_dir,
-            workers=workers,
-            fabric_options=fabric_options,
             batch_kernel=batch_kernel,
         )
         feasible = [p for p in points if requirements.admits(p)]

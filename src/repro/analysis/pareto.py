@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.core.flexibility import flexibility
 from repro.core.naming import MachineType
@@ -140,8 +139,6 @@ def evaluate_classes(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    workers: "str | None" = None,
-    fabric_options: "Mapping[str, Any] | None" = None,
     batch_kernel: bool = True,
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
@@ -153,14 +150,6 @@ def evaluate_classes(
     set the engine's failure policy (failed classes are dropped from the
     result), and ``resume=True`` journals completed classes so an
     interrupted evaluation restarts where it stopped.
-
-    ``workers`` (``"HOST:PORT,HOST:PORT"``) routes the sweep through the
-    distributed fabric (:func:`repro.perf.fabric_sweep`); the journal
-    then shards by point index so any worker mix resumes bit-exactly.
-    ``fabric_options`` forwards extra keyword arguments to
-    :func:`~repro.perf.fabric_sweep` (``max_lease_size``,
-    ``membership``, ``listen``, …) — scheduling knobs only, never
-    artifact-affecting.
 
     ``batch_kernel=True`` (the default) routes plain single-job
     evaluations through the vectorized :mod:`repro.core.batch` kernel
@@ -179,7 +168,6 @@ def evaluate_classes(
     if (
         batch_kernel
         and jobs == 1
-        and workers is None
         and not resume
         and on_error == "raise"
         and timeout_s is None
@@ -197,37 +185,21 @@ def evaluate_classes(
             "classes": [cls.serial for cls in implementable],
             "models": [repr(area_model), repr(config_model)],
         }
-        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+        from repro.perf.journal import SweepCheckpoint
 
-        opener = ShardedCheckpoint if workers else SweepCheckpoint
-        checkpoint = opener.open("classes", spec, directory=checkpoint_dir)
+        checkpoint = SweepCheckpoint.open("classes", spec, directory=checkpoint_dir)
     chosen_executor = "serial" if jobs == 1 else executor
     try:
         with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n, jobs=jobs):
-            if workers:
-                from repro.perf.fabric import fabric_sweep
-
-                result = fabric_sweep(
-                    worker,
-                    implementable,
-                    workers=workers,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                    fallback_executor=chosen_executor,
-                    fallback_jobs=jobs,
-                    **dict(fabric_options or {}),
-                )
-            else:
-                result = sweep(
-                    worker,
-                    implementable,
-                    executor=chosen_executor,
-                    jobs=jobs,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                )
+            result = sweep(
+                worker,
+                implementable,
+                executor=chosen_executor,
+                jobs=jobs,
+                on_error=on_error,
+                timeout_s=timeout_s,
+                checkpoint=checkpoint,
+            )
     finally:
         if checkpoint is not None:
             checkpoint.close()

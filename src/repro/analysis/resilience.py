@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.core.components import Multiplicity
 from repro.core.errors import FaultError
@@ -185,8 +184,6 @@ def resilience_sweep(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    workers: "str | None" = None,
-    fabric_options: "Mapping[str, Any] | None" = None,
 ) -> list[ResiliencePoint]:
     """Degradation curves for the whole survey, best-sustained first.
 
@@ -197,13 +194,6 @@ def resilience_sweep(
     (points skipped under ``"skip"``/``"retry"`` are dropped from the
     result), and ``resume=True`` journals completed architectures so an
     interrupted sweep picks up where it left off, bit-identically.
-
-    ``workers`` (``"HOST:PORT,HOST:PORT"``) fans the architectures out
-    over the distributed fabric instead of a local pool — same results,
-    same order, and with ``resume=True`` an index-sharded journal.
-    ``fabric_options`` forwards extra :func:`~repro.perf.fabric_sweep`
-    keywords (``max_lease_size``, ``membership``, ``listen``, …);
-    they steer scheduling only, never the artifact.
     """
     if not rates:
         raise ValueError("at least one fault rate is required")
@@ -219,10 +209,9 @@ def resilience_sweep(
             "spares": spares,
             "entries": [entry.name for entry in rows],
         }
-        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+        from repro.perf.journal import SweepCheckpoint
 
-        opener = ShardedCheckpoint if workers else SweepCheckpoint
-        checkpoint = opener.open("resilience", spec, directory=checkpoint_dir)
+        checkpoint = SweepCheckpoint.open("resilience", spec, directory=checkpoint_dir)
     chosen_executor = "serial" if jobs == 1 else executor
     try:
         with _trace.span(
@@ -233,30 +222,15 @@ def resilience_sweep(
             spares=spares,
             jobs=jobs,
         ):
-            if workers:
-                from repro.perf.fabric import fabric_sweep
-
-                result = fabric_sweep(
-                    worker,
-                    rows,
-                    workers=workers,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                    fallback_executor=chosen_executor,
-                    fallback_jobs=jobs,
-                    **dict(fabric_options or {}),
-                )
-            else:
-                result = sweep(
-                    worker,
-                    rows,
-                    executor=chosen_executor,
-                    jobs=jobs,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                )
+            result = sweep(
+                worker,
+                rows,
+                executor=chosen_executor,
+                jobs=jobs,
+                on_error=on_error,
+                timeout_s=timeout_s,
+                checkpoint=checkpoint,
+            )
     finally:
         if checkpoint is not None:
             checkpoint.close()

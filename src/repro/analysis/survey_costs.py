@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Mapping
 
 from repro.models.area import AreaModel
 from repro.models.configbits import ConfigBitsModel
@@ -148,8 +147,6 @@ def evaluate_survey(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    workers: "str | None" = None,
-    fabric_options: "Mapping[str, Any] | None" = None,
     batch_kernel: bool = True,
 ) -> list[SurveyCostPoint]:
     """Estimate every surveyed architecture's costs at its own size.
@@ -160,14 +157,6 @@ def evaluate_survey(
     with order-preserving results. ``on_error``/``timeout_s`` set the
     engine's failure policy (failed points are dropped from the result),
     and ``resume=True`` journals completed records for restartability.
-
-    ``workers`` (``"HOST:PORT,HOST:PORT"``) routes the sweep through the
-    distributed fabric instead of a local pool; with ``resume=True`` the
-    journal becomes an index-sharded :class:`ShardedCheckpoint` whose
-    merge is byte-identical to the single-host journal.
-    ``fabric_options`` forwards extra :func:`~repro.perf.fabric_sweep`
-    keywords (``max_lease_size``, ``membership``, ``listen``, …) —
-    scheduling knobs that never change the artifact.
 
     ``batch_kernel=True`` (the default) prices plain single-job,
     default-model runs through the vectorized :mod:`repro.core.batch`
@@ -180,7 +169,6 @@ def evaluate_survey(
         batch_kernel
         and all(model is None for model in custom)
         and jobs == 1
-        and workers is None
         and not resume
         and on_error == "raise"
         and timeout_s is None
@@ -207,38 +195,22 @@ def evaluate_survey(
             "records": [record.name for record in records],
             "models": [repr(model) for model in custom],
         }
-        from repro.perf.journal import ShardedCheckpoint, SweepCheckpoint
+        from repro.perf.journal import SweepCheckpoint
 
-        opener = ShardedCheckpoint if workers else SweepCheckpoint
-        checkpoint = opener.open("costs", spec, directory=checkpoint_dir)
+        checkpoint = SweepCheckpoint.open("costs", spec, directory=checkpoint_dir)
     try:
         with _trace.span(
             "analysis.survey_costs", architectures=len(records), default_n=default_n, jobs=jobs
         ):
-            if workers:
-                from repro.perf.fabric import fabric_sweep
-
-                result = fabric_sweep(
-                    worker,
-                    records,
-                    workers=workers,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                    fallback_executor=chosen_executor,
-                    fallback_jobs=jobs,
-                    **dict(fabric_options or {}),
-                )
-            else:
-                result = sweep(
-                    worker,
-                    records,
-                    executor=chosen_executor,
-                    jobs=jobs,
-                    on_error=on_error,
-                    timeout_s=timeout_s,
-                    checkpoint=checkpoint,
-                )
+            result = sweep(
+                worker,
+                records,
+                executor=chosen_executor,
+                jobs=jobs,
+                on_error=on_error,
+                timeout_s=timeout_s,
+                checkpoint=checkpoint,
+            )
     finally:
         if checkpoint is not None:
             checkpoint.close()
@@ -252,15 +224,12 @@ def survey_cost_table(
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
-    workers: "str | None" = None,
-    fabric_options: "Mapping[str, Any] | None" = None,
     batch_kernel: bool = True,
 ) -> str:
     """Rendered cost table over the whole survey.
 
-    Byte-identical whether the batch kernel, the scalar sweep, or the
-    distributed fabric produced the underlying points — including under
-    any ``fabric_options`` scheduling knobs.
+    Byte-identical whether the batch kernel or the scalar sweep (serial
+    or pooled) produced the underlying points.
     """
     from repro.reporting.tables import format_table
 
@@ -270,8 +239,6 @@ def survey_cost_table(
         on_error=on_error,
         timeout_s=timeout_s,
         resume=resume,
-        workers=workers,
-        fabric_options=fabric_options,
         batch_kernel=batch_kernel,
     )
     header = (

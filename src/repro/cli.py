@@ -21,15 +21,27 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 
-from repro.core.errors import FabricError, FaultError, ReproError
+from repro.core.errors import FaultError, ReproError
 
 __all__ = ["main", "build_parser"]
 
 #: Figure numbers ``fig`` renders: ``render_fig<N>`` in :mod:`repro.reporting.figures`.
 _FIGURE_NUMBERS = (1, 2, 3, 4, 5, 6, 7)
+
+#: Surfaces removed with the distributed sweep fabric, as
+#: ``(command, name) -> replacement``; using one exits 2 naming both.
+#: ``serve --workers`` (the server's thread count) is not among them.
+_REMOVED = {
+    ("sweep-worker", "sweep-worker"): "--jobs N on costs, dse or faults",
+    ("serve", "--fabric-workers"): "--jobs N on costs, dse or faults",
+    **{
+        (command, flag): "--jobs N"
+        for command in ("costs", "dse", "faults")
+        for flag in ("--workers", "--supervise", "--max-lease-size", "--rejoin-backoff")
+    },
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_argument(dse_parser)
     _add_resilience_arguments(dse_parser)
-    _add_fabric_argument(dse_parser)
     _add_batch_kernel_argument(dse_parser)
     _add_trace_argument(dse_parser)
     _add_profile_argument(dse_parser)
@@ -96,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_argument(costs_parser)
     _add_resilience_arguments(costs_parser)
-    _add_fabric_argument(costs_parser)
     _add_batch_kernel_argument(costs_parser)
     _add_trace_argument(costs_parser)
     _add_profile_argument(costs_parser)
@@ -138,33 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_argument(faults_parser)
     _add_resilience_arguments(faults_parser)
-    _add_fabric_argument(faults_parser)
     _add_trace_argument(faults_parser)
     _add_profile_argument(faults_parser)
-
-    worker_parser = sub.add_parser(
-        "sweep-worker",
-        help="serve sweep points to distributed coordinators (see --workers)",
-    )
-    worker_parser.add_argument(
-        "--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-        help="bind address; port 0 picks an ephemeral port "
-        "(default 127.0.0.1:0; the bound address is printed on stdout)",
-    )
-    worker_parser.add_argument(
-        "--max-sessions", type=int, default=None, metavar="N",
-        help="exit after serving N coordinator sessions (default: serve until killed)",
-    )
-    worker_parser.add_argument(
-        "--throttle", type=float, default=0.0, metavar="S",
-        help="sleep S seconds before each point evaluation — a chaos/tuning "
-        "aid for rehearsing failure detection against fast sweeps (default 0)",
-    )
-    worker_parser.add_argument(
-        "--heartbeat", type=float, default=None, metavar="S",
-        help="override the coordinator-commanded heartbeat interval; setting "
-        "it above the coordinator's lease TTL rehearses lease expiry",
-    )
 
     metrics_parser = sub.add_parser(
         "metrics",
@@ -257,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--log-requests", action="store_true",
         help="emit one access-log line per request to stderr",
-    )
-    serve_parser.add_argument(
-        "--fabric-workers", default=None, metavar="HOST:PORT,...",
-        help="route the sweep-backed survey endpoint over the distributed "
-        "sweep fabric (comma-separated sweep-worker endpoints)",
     )
     serve_parser.add_argument(
         "--jobs-dir", default=None, metavar="DIR",
@@ -447,92 +427,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_fabric_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared fabric flags: ``--workers``, ``--supervise``,
-    ``--max-lease-size``, ``--rejoin-backoff``.
-
-    ``--workers`` endpoints name running ``sweep-worker`` processes
-    (coordinator dials workers). Results stay byte-identical to a local
-    run; if no worker answers within the join deadline the sweep
-    silently runs locally instead. With ``--resume`` the checkpoint
-    journal shards by point index (``.s0of8`` … files) and merges
-    deterministically. ``--supervise N`` launches (and respawns) N
-    local workers for the duration of the command; the other two tune
-    the elastic-membership scheduler — none of the three can change an
-    artifact.
-    """
-    parser.add_argument(
-        "--workers", default=None, metavar="HOST:PORT,...",
-        help="distribute the sweep over these sweep-worker endpoints "
-        "(default: run locally)",
-    )
-    parser.add_argument(
-        "--supervise", type=int, default=0, metavar="N",
-        help="launch N supervised local sweep workers for this command "
-        "(crashed workers respawn on the same port; default 0)",
-    )
-    parser.add_argument(
-        "--max-lease-size", type=int, default=None, metavar="N",
-        dest="max_lease_size",
-        help="let per-worker lease sizes autoscale up to N points from "
-        "observed throughput (default: fixed at the base lease size)",
-    )
-    parser.add_argument(
-        "--rejoin-backoff", type=float, default=None, metavar="S",
-        dest="rejoin_backoff",
-        help="base seconds before re-dialing a lost worker endpoint "
-        "(exponential with jitter; 0 disables rejoin; default 0.25)",
-    )
-
-
-@contextlib.contextmanager
-def _fabric_fleet(args: argparse.Namespace):
-    """Resolve the fabric flags into ``(workers, fabric_options)``.
-
-    Builds the :func:`~repro.perf.fabric_sweep` option dict from
-    ``--max-lease-size`` / ``--rejoin-backoff``, and — under
-    ``--supervise N`` — boots a :class:`~repro.perf.WorkerSupervisor`
-    whose endpoints are appended to ``--workers`` for the duration of
-    the command. The supervisor (and its workers) are torn down on the
-    way out, success or not. Out-of-range flag values surface as
-    :class:`~repro.core.errors.FabricError` so the CLI's usual
-    ``error: ...`` / exit-2 contract holds.
-    """
-    options: "dict[str, object]" = {}
-    if getattr(args, "max_lease_size", None) is not None:
-        if args.max_lease_size < 1:
-            raise FabricError(
-                f"--max-lease-size must be >= 1, got {args.max_lease_size}"
-            )
-        options["max_lease_size"] = args.max_lease_size
-    if getattr(args, "rejoin_backoff", None) is not None:
-        from repro.perf.fabric import MembershipPolicy
-
-        try:
-            options["membership"] = MembershipPolicy(
-                rejoin_backoff_s=args.rejoin_backoff
-            )
-        except ValueError as error:
-            raise FabricError(f"--rejoin-backoff: {error}") from error
-    workers = args.workers
-    supervise = getattr(args, "supervise", 0)
-    if not supervise:
-        yield workers, options
-        return
-    from repro.perf.supervisor import WorkerSupervisor
-
-    try:
-        supervisor = WorkerSupervisor(supervise)
-    except ValueError as error:
-        raise FabricError(f"--supervise: {error}") from error
-    endpoints = ",".join(supervisor.start())
-    merged = f"{workers},{endpoints}" if workers else endpoints
-    try:
-        yield merged, options
-    finally:
-        supervisor.stop()
-
-
 def _add_batch_kernel_argument(parser: argparse.ArgumentParser) -> None:
     """The shared ``--batch-kernel/--no-batch-kernel`` flag.
 
@@ -655,7 +549,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         ),
         fault_plan=fault_plan,
         log_requests=args.log_requests,
-        fabric_workers=args.fabric_workers,
         keepalive_requests=args.keepalive_requests,
         keepalive_idle_s=args.keepalive_idle,
         cache_size=args.cache_size,
@@ -802,37 +695,18 @@ def _run_populations(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_sweep_worker(args: argparse.Namespace) -> int:
-    """The ``sweep-worker`` subcommand: one node of the sweep fabric.
-
-    Binds the listen address (printing the resolved ``HOST:PORT`` so
-    scripts can use ``--listen HOST:0``), marks the process via
-    ``$REPRO_SWEEP_WORKER`` so sweep functions can detect worker
-    context, and serves coordinator sessions until killed (or after
-    ``--max-sessions``). The worker is stateless: all journalling
-    happens coordinator-side, so killing a worker loses nothing.
-    """
-    import os
-
-    from repro.perf.fabric import WORKER_ENV, FabricWorker, parse_endpoints
-
-    ((host, port),) = parse_endpoints(args.listen)
-    os.environ[WORKER_ENV] = "1"
-    worker = FabricWorker(
-        host,
-        port,
-        throttle_s=args.throttle,
-        heartbeat_override_s=args.heartbeat,
-        max_sessions=args.max_sessions,
-    )
-    bound_host, bound_port = worker.address
-    print(f"worker listening on {bound_host}:{bound_port}", flush=True)
+def _fault_rates(text: str) -> "tuple[float, ...]":
+    """Parse ``faults --rates``: comma-separated numbers in [0, 1]."""
     try:
-        sessions = worker.serve_forever()
-    finally:
-        worker.close()
-    print(f"served {sessions} sweep session(s)", file=sys.stderr)
-    return 0
+        rates = tuple(float(token) for token in text.split(","))
+    except ValueError:
+        raise FaultError(
+            f"--rates must be a comma-separated list of numbers, got {text!r}"
+        ) from None
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise FaultError(f"fault rate must lie in [0, 1], got {rate}")
+    return rates
 
 
 def _run_faults(args: argparse.Namespace) -> int:
@@ -853,6 +727,9 @@ def _run_faults(args: argparse.Namespace) -> int:
     from repro.machine.kernels import simd_vector_add
     from repro.models.area import redundancy_overhead
 
+    # Every argument is checked before the first line is printed, so a
+    # bad ``--rates`` exits 2 with nothing on stdout.
+    rates = _fault_rates(args.rates) if args.rates else DEFAULT_FAULT_RATES
     policy = FaultPolicy.parse(args.policy)
     n_lanes = max(args.n, 2)
     plan = FaultPlan.random(args.seed, args.rate, n_pes=n_lanes)
@@ -890,28 +767,15 @@ def _run_faults(args: argparse.Namespace) -> int:
         print(redundancy_overhead(iap_iv, n=args.n, spares=spares).describe())
         print()
 
-    if args.rates:
-        try:
-            rates = tuple(float(token) for token in args.rates.split(","))
-        except ValueError:
-            raise FaultError(
-                f"--rates must be a comma-separated list of numbers, "
-                f"got {args.rates!r}"
-            ) from None
-    else:
-        rates = DEFAULT_FAULT_RATES
-    with _fabric_fleet(args) as (workers, fabric_options):
-        points = resilience_sweep(
-            rates,
-            n=args.n,
-            spares=args.spares,
-            jobs=args.jobs,
-            on_error=args.on_error,
-            timeout_s=args.timeout,
-            resume=args.resume,
-            workers=workers,
-            fabric_options=fabric_options,
-        )
+    points = resilience_sweep(
+        rates,
+        n=args.n,
+        spares=args.spares,
+        jobs=args.jobs,
+        on_error=args.on_error,
+        timeout_s=args.timeout,
+        resume=args.resume,
+    )
     print(render_resilience_table(points))
 
     if args.out != "-":
@@ -972,35 +836,29 @@ def _dispatch(args: argparse.Namespace) -> int:
             max_config_bits=args.max_config_bits,
             n=args.n,
         )
-        with _fabric_fleet(args) as (workers, fabric_options):
-            recommendation = explore(
-                requirements,
-                objective=objective,
-                jobs=args.jobs,
-                on_error=args.on_error,
-                timeout_s=args.timeout,
-                resume=args.resume,
-                workers=workers,
-                fabric_options=fabric_options,
-                batch_kernel=args.batch_kernel,
-            )
+        recommendation = explore(
+            requirements,
+            objective=objective,
+            jobs=args.jobs,
+            on_error=args.on_error,
+            timeout_s=args.timeout,
+            resume=args.resume,
+            batch_kernel=args.batch_kernel,
+        )
         print(recommendation.explain())
     elif args.command == "costs":
         from repro.analysis.survey_costs import survey_cost_table
 
-        with _fabric_fleet(args) as (workers, fabric_options):
-            print(
-                survey_cost_table(
-                    default_n=args.n,
-                    jobs=args.jobs,
-                    on_error=args.on_error,
-                    timeout_s=args.timeout,
-                    resume=args.resume,
-                    workers=workers,
-                    fabric_options=fabric_options,
-                    batch_kernel=args.batch_kernel,
-                )
+        print(
+            survey_cost_table(
+                default_n=args.n,
+                jobs=args.jobs,
+                on_error=args.on_error,
+                timeout_s=args.timeout,
+                resume=args.resume,
+                batch_kernel=args.batch_kernel,
             )
+        )
     elif args.command == "report":
         from repro.reporting.bundle import generate_report
 
@@ -1029,8 +887,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _run_serve(args)
     elif args.command == "jobs":
         return _run_jobs(args)
-    elif args.command == "sweep-worker":
-        return _run_sweep_worker(args)
     elif args.command == "baselines":
         from repro.core import baseline_resolution, extension_report
 
@@ -1056,6 +912,20 @@ def _dispatch_observed(args: argparse.Namespace) -> int:
     return status
 
 
+def _removed_surface(argv: "list[str]") -> "str | None":
+    """The diagnostic for a removed subcommand or flag in ``argv``, if any."""
+    command = argv[0] if argv else None
+    for token in argv:
+        name = token.partition("=")[0]
+        replacement = _REMOVED.get((command, name))
+        if replacement is not None:
+            return (
+                f"{name} was removed with the distributed sweep fabric; "
+                f"use {replacement} for local parallelism"
+            )
+    return None
+
+
 def main(argv: "list[str] | None" = None) -> int:
     """Parse and dispatch; library errors become a one-line diagnostic.
 
@@ -1073,6 +943,10 @@ def main(argv: "list[str] | None" = None) -> int:
     even when the command fails, so a trace of a crashing run is still
     inspectable.
     """
+    removed = _removed_surface(sys.argv[1:] if argv is None else argv)
+    if removed is not None:
+        print(f"error: {removed}", file=sys.stderr)
+        return 2
     args = build_parser().parse_args(argv)
     trace_file = getattr(args, "trace", None)
     if trace_file is not None:

@@ -91,15 +91,3 @@ class CheckpointError(ReproError):
     time) is reported so the operator can find the competing run.
     """
 
-
-class FabricError(ReproError):
-    """A distributed sweep could not produce a usable result.
-
-    Raised by :func:`repro.perf.fabric.fabric_sweep` when a point fails
-    under ``on_error='raise'`` (the failure is reported with the lowest
-    failing index, mirroring the single-host engine's deterministic
-    raise contract) or when the coordinator/worker wire protocol is
-    violated (bad handshake, protocol-version mismatch, malformed
-    frame). Worker loss is *not* a :class:`FabricError` — lost workers
-    are re-queued work, never a failed sweep.
-    """

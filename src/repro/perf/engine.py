@@ -402,8 +402,6 @@ def _restore_from_checkpoint(
     Journalled points come back as ``status='skipped'``
     :class:`PointResult` values restored bit-identically from the
     checkpoint; the remainder keeps its original (index, point) pairs.
-    Shared by the local engine and the distributed fabric so resume
-    semantics cannot drift between them.
     """
     if checkpoint is None or not indexed:
         return [], indexed

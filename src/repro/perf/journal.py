@@ -43,14 +43,6 @@ Reclaim is *same-host only*: the sidecar records ``host`` alongside
 as stale — ``flock`` visibility does not span hosts on shared storage,
 and a foreign pid existing (or not) on *this* host says nothing about
 the real owner.
-
-The distributed sweep fabric (:mod:`repro.perf.fabric`) journals
-through a :class:`ShardedCheckpoint`: the index space is partitioned
-across a fixed number of shard journals (each an ordinary
-:class:`SweepCheckpoint`), and :func:`merge_journal_loads` folds them
-back into one progress map deterministically — the property the merge
-tests pin down is that any interleaving or reassignment of points over
-shards loads back bit-identically to a single journal.
 """
 
 from __future__ import annotations
@@ -65,7 +57,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 try:  # pragma: no cover - import guard exercised only off-POSIX
     import fcntl
@@ -78,14 +70,11 @@ from repro.core.errors import CheckpointError
 __all__ = [
     "CHECKPOINT_DIR_ENV",
     "DEFAULT_CHECKPOINT_DIR",
-    "DEFAULT_SHARDS",
     "JOURNAL_FORMAT",
     "JournalEntry",
     "JournalLock",
-    "ShardedCheckpoint",
     "SweepCheckpoint",
     "checkpoint_directory",
-    "merge_journal_loads",
     "spec_digest",
 ]
 
@@ -97,12 +86,6 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 #: Where journals land when the environment does not say otherwise.
 DEFAULT_CHECKPOINT_DIR = "artifacts/checkpoints"
-
-#: How many shard journals a :class:`ShardedCheckpoint` opens by
-#: default. Fixed (not derived from the worker count) so a resumed
-#: fabric sweep finds its shards no matter how many workers rejoin.
-DEFAULT_SHARDS = 8
-
 
 def checkpoint_directory() -> Path:
     """The journal directory: ``$REPRO_CHECKPOINT_DIR`` or the default."""
@@ -386,119 +369,6 @@ class SweepCheckpoint:
             self._lock = None
 
     def __enter__(self) -> "SweepCheckpoint":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def merge_journal_loads(
-    loads: "Iterable[Mapping[int, JournalEntry]]",
-) -> dict[int, JournalEntry]:
-    """Fold per-shard journal loads into one progress map, deterministically.
-
-    The merge is a pure function of the *sequence* of loads: shards are
-    folded in the order given and, within a shard, indices in ascending
-    order, with the first entry seen for an index winning. Because a
-    sweep's point function is pure, duplicate entries for an index (a
-    stolen lease completed twice, a point journalled by two shards
-    under reassignment) carry equal values — the tie-break exists so
-    the merged map is bit-identical across re-merges, not to pick a
-    "better" result.
-
-        >>> from repro.perf.journal import JournalEntry, merge_journal_loads
-        >>> a = {0: JournalEntry(0, "ok", 1, 0.1, None, "zero")}
-        >>> b = {1: JournalEntry(1, "ok", 1, 0.2, None, "one"),
-        ...      0: JournalEntry(0, "ok", 2, 0.9, None, "zero")}
-        >>> merged = merge_journal_loads([a, b])
-        >>> sorted(merged) == [0, 1] and merged[0].attempts == 1
-        True
-    """
-    merged: dict[int, JournalEntry] = {}
-    for load in loads:
-        for index in sorted(load):
-            merged.setdefault(index, load[index])
-    return merged
-
-
-class ShardedCheckpoint:
-    """A checkpoint journal partitioned across a fixed set of shard files.
-
-    The distributed sweep fabric journals progress here: each shard is
-    an ordinary :class:`SweepCheckpoint` (same header, locking,
-    fsync-per-record and self-healing-tail contract) named
-    ``<name>.s<k>of<n>``, and a point's outcome always lands in shard
-    ``index % shards`` — a placement that is a pure function of the
-    point, never of which worker computed it. :meth:`load` merges the
-    shards through :func:`merge_journal_loads`, so a resumed sweep sees
-    one progress map bit-identical to what a single journal would hold,
-    no matter how points were leased, stolen or re-queued across
-    workers in the interrupted run.
-
-    ``shards`` must match across runs of the same sweep (the default is
-    :data:`DEFAULT_SHARDS`); a changed count changes the shard names,
-    and the old shards are simply ignored rather than mis-merged.
-    """
-
-    def __init__(self, checkpoints: "list[SweepCheckpoint]", name: str):
-        self._shards = checkpoints
-        self.name = name
-
-    @classmethod
-    def open(
-        cls,
-        name: str,
-        spec: Any,
-        *,
-        shards: int = DEFAULT_SHARDS,
-        directory: "str | os.PathLike | None" = None,
-    ) -> "ShardedCheckpoint":
-        """Open (or create) every shard journal for ``(name, spec)``.
-
-        Each shard takes its own advisory lock; a partial failure
-        releases the shards already opened before re-raising, so a lost
-        race never leaves stragglers locked.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        opened: list[SweepCheckpoint] = []
-        try:
-            for shard in range(shards):
-                opened.append(
-                    SweepCheckpoint.open(
-                        f"{name}.s{shard}of{shards}", spec, directory=directory
-                    )
-                )
-        except BaseException:
-            for checkpoint in opened:
-                checkpoint.close()
-            raise
-        return cls(opened, name)
-
-    @property
-    def paths(self) -> tuple[Path, ...]:
-        """Every shard journal's path, in shard order."""
-        return tuple(shard.path for shard in self._shards)
-
-    def load(self) -> dict[int, JournalEntry]:
-        """Completed entries merged across all shards, keyed by index."""
-        return merge_journal_loads(shard.load() for shard in self._shards)
-
-    @property
-    def completed(self) -> int:
-        """How many points the shard set already holds values for."""
-        return len(self.load())
-
-    def record(self, outcome: Any) -> None:
-        """Journal one outcome into its index's home shard."""
-        self._shards[outcome.index % len(self._shards)].record(outcome)
-
-    def close(self) -> None:
-        """Close every shard (idempotent)."""
-        for shard in self._shards:
-            shard.close()
-
-    def __enter__(self) -> "ShardedCheckpoint":
         return self
 
     def __exit__(self, *exc_info: object) -> None:

@@ -14,9 +14,22 @@ import sys
 from repro.serve.breaker import BreakerPolicy
 from repro.serve.server import ServerConfig, run_server
 
+#: Flags removed with the distributed sweep fabric -> their replacement,
+#: as in ``repro.cli``'s table (not imported here: it would slow start-up).
+_REMOVED = {"--fabric-workers": "--jobs N on repro-taxonomy costs, dse or faults"}
+
 
 def main(argv: "list[str] | None" = None) -> int:
     """Parse the minimal flag set and serve until signalled."""
+    for token in sys.argv[1:] if argv is None else argv:
+        name = token.partition("=")[0]
+        if name in _REMOVED:
+            print(
+                f"error: {name} was removed with the distributed sweep fabric; "
+                f"use {_REMOVED[name]} for local parallelism",
+                file=sys.stderr,
+            )
+            return 2
     parser = argparse.ArgumentParser(prog="python -m repro.serve")
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0)
@@ -31,7 +44,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--drain-deadline", type=float, default=5.0)
     parser.add_argument("--fault-seed", type=int, default=None)
     parser.add_argument("--fault-rate", type=float, default=0.1)
-    parser.add_argument("--fabric-workers", default=None, metavar="HOST:PORT,...")
     parser.add_argument("--jobs-dir", default=None, metavar="DIR")
     parser.add_argument("--job-runners", type=int, default=2)
     parser.add_argument("--job-ttl", type=float, default=3600.0)
@@ -55,7 +67,6 @@ def main(argv: "list[str] | None" = None) -> int:
         drain_s=args.drain_deadline,
         breaker=BreakerPolicy(),
         fault_plan=fault_plan,
-        fabric_workers=args.fabric_workers,
         keepalive_requests=args.keepalive_requests,
         keepalive_idle_s=args.keepalive_idle,
         cache_size=args.cache_size,

@@ -17,10 +17,7 @@ Endpoints (all under ``/v1``):
 * ``survey`` — the 25 Table-III records with derived classifications;
   ``?costs=true`` adds model estimates via the circuit-broken sweep.
 * ``healthz`` / ``readyz`` — liveness vs readiness (drain and breaker
-  state flip readiness, never liveness); ``readyz`` also carries the
-  sweep fabric's fleet ledger (``fabric`` key:
-  :func:`repro.perf.fabric.fleet_health`) so orchestrators can scale
-  workers on live/quarantined counts and pending-point depth.
+  state flip readiness, never liveness).
 * ``metrics`` — the :mod:`repro.obs` registry in Prometheus text form.
 """
 
@@ -189,15 +186,8 @@ class TaxonomyService:
         breaker: "CircuitBreaker | None" = None,
         fault_plan: "FaultPlan | None" = None,
         clock: Callable[[], float] = time.monotonic,
-        fabric_workers: "str | None" = None,
     ):
         self.cache = cache if cache is not None else ModelCache()
-        #: Optional ``HOST:PORT,...`` sweep-worker endpoints; when set,
-        #: the sweep-backed survey costing runs on the distributed
-        #: fabric (still behind the circuit breaker — a sick fabric
-        #: opens the breaker exactly like a sick local sweep, and an
-        #: absent fabric degrades to a local sweep inside the call).
-        self.fabric_workers = fabric_workers
         self.breaker = (
             breaker if breaker is not None else CircuitBreaker(BreakerPolicy(), clock=clock)
         )
@@ -364,9 +354,7 @@ class TaxonomyService:
         if include_costs:
             from repro.analysis.survey_costs import evaluate_survey
 
-            points = self._protected(
-                lambda: evaluate_survey(default_n=n, workers=self.fabric_workers)
-            )
+            points = self._protected(lambda: evaluate_survey(default_n=n))
             costs_by_name = {point.name: point for point in points}
         architectures = []
         for entry in entries:

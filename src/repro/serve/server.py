@@ -133,9 +133,6 @@ class ServerConfig:
     fault_plan: "FaultPlan | None" = None
     #: Emit one access-log line per request to stderr.
     log_requests: bool = False
-    #: Optional ``HOST:PORT,...`` sweep-worker endpoints: sweep-backed
-    #: queries run on the distributed fabric (behind the breaker).
-    fabric_workers: "str | None" = None
     #: Pre-fork worker processes sharing the port via SO_REUSEPORT
     #: (1 = single process, the embedded/test default).
     processes: int = 1
@@ -207,22 +204,6 @@ class ServerConfig:
             )
 
 
-def _fabric_health() -> "dict[str, Any]":
-    """The sweep fabric's fleet ledger for ``/v1/readyz``.
-
-    A process that never imported :mod:`repro.perf.fabric` never ran a
-    fabric sweep, so its ledger is the empty snapshot the module starts
-    with; returning that here keeps the fabric (and ``multiprocessing``)
-    out of a server that never distributes a sweep. The module can also
-    be mid-import on another thread (a first ``/v1/survey?costs=true``),
-    before ``fleet_health`` exists and before any sweep could publish.
-    """
-    fleet_health = getattr(sys.modules.get("repro.perf.fabric"), "fleet_health", None)
-    if fleet_health is None:
-        return {"active": False, "workers": []}
-    return fleet_health()
-
-
 class ServiceApp:
     """The transport-free admission pipeline around the endpoint router."""
 
@@ -245,7 +226,6 @@ class ServiceApp:
             breaker=CircuitBreaker(self.config.breaker, clock=clock),
             fault_plan=self.config.fault_plan,
             clock=clock,
-            fabric_workers=self.config.fabric_workers,
         )
         self.router = self.service.router
         self.response_cache = ResponseCache(self.config.cache_size)
@@ -336,10 +316,6 @@ class ServiceApp:
             "queued": self.pool.queued,
             "cache": self.response_cache.stats(),
             "fleet": fleet_view,
-            # The sweep fabric's fleet ledger (live/quarantined/lost
-            # workers, rejoin counts, lease latency): orchestrators
-            # scaling workers on queue depth read it from here.
-            "fabric": _fabric_health(),
         }
         if self.jobs is not None:
             # The job store is shared by every pre-fork worker, so this

@@ -66,10 +66,8 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
         "numpy",
         "networkx",
         "multiprocessing",
-        "repro.perf.fabric",
         "repro.perf.engine",
         "repro.perf.journal",
-        "repro.perf.supervisor",
         "repro.serve.jobs",
         "repro.reporting.bundle",
         "repro.faults",
@@ -85,7 +83,7 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
             "classify --ips 1 --dps n --ip-dp 1-n --ip-im 1-1 --dp-dm nxn --dp-dp nxn".split(),
             ("numpy", "networkx", "multiprocessing"),
         ),
-        (["costs"], ("networkx", "repro.perf.fabric", "repro.perf.journal")),
+        (["costs"], ("networkx", "repro.perf.journal")),
     ],
     ids=["table1", "classify", "costs"],
 )

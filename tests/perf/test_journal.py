@@ -3,12 +3,8 @@
 import json
 import pickle
 import socket
-import tempfile
-from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.atomicio import atomic_write_bytes, atomic_write_text
 from repro.core.errors import CheckpointError
@@ -16,10 +12,8 @@ from repro.perf import (
     JournalEntry,
     JournalLock,
     PointResult,
-    ShardedCheckpoint,
     SweepCheckpoint,
     checkpoint_directory,
-    merge_journal_loads,
     spec_digest,
 )
 from repro.perf.journal import CHECKPOINT_DIR_ENV, DEFAULT_CHECKPOINT_DIR, JOURNAL_FORMAT
@@ -276,138 +270,6 @@ class TestAtomicWrites:
         data = target.read_bytes()
         assert data == rows_to_csv(("a", "b"), [(1, 2), (3, 4)]).encode()
         assert b"\r\n" in data
-
-
-def _deterministic(index):
-    """The outcome for ``index``, identical wherever it is computed.
-
-    Point functions are pure, so two records for the same index — a
-    stolen lease finishing twice, a re-queued point landing on another
-    worker — are byte-equal. Index 5 mod 7 fails, exercising the rule
-    that only ``ok`` records count as progress.
-    """
-    if index % 7 == 5:
-        return PointResult(
-            index=index, point=index, value=None, elapsed_s=0.25,
-            status="failed", attempts=2, error="ValueError('boom')",
-        )
-    return PointResult(index=index, point=index, value=index * index, elapsed_s=0.25)
-
-
-class TestShardedCheckpoint:
-    def test_records_route_to_the_home_shard(self, tmp_path):
-        with ShardedCheckpoint.open("route", {}, shards=3, directory=tmp_path) as cp:
-            for index in range(7):
-                cp.record(_deterministic(index))
-            for shard, path in enumerate(cp.paths):
-                assert f"route.s{shard}of3" in path.name
-                recorded = [
-                    json.loads(line)["index"]
-                    for line in path.read_text().splitlines()[1:]
-                ]
-                assert recorded == [i for i in range(7) if i % 3 == shard]
-
-    def test_load_and_completed_span_all_shards(self, tmp_path):
-        spec = {"n": 9}
-        with ShardedCheckpoint.open("span", spec, shards=4, directory=tmp_path) as cp:
-            for index in range(9):
-                cp.record(_deterministic(index))
-        with ShardedCheckpoint.open("span", spec, shards=4, directory=tmp_path) as cp:
-            done = cp.load()
-            assert cp.completed == 8  # index 5 failed, so it is not progress
-        assert set(done) == set(range(9)) - {5}
-        assert done[3].value == 9
-
-    def test_invalid_shard_count_is_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="shards"):
-            ShardedCheckpoint.open("bad", {}, shards=0, directory=tmp_path)
-
-    def test_changed_shard_count_ignores_the_old_shards(self, tmp_path):
-        spec = {"n": 4}
-        with ShardedCheckpoint.open("re", spec, shards=2, directory=tmp_path) as cp:
-            cp.record(_deterministic(0))
-        with ShardedCheckpoint.open("re", spec, shards=4, directory=tmp_path) as cp:
-            # Different shard names: old progress is invisible, never mis-merged.
-            assert cp.load() == {}
-
-    def test_partial_open_failure_releases_earlier_shards(self, tmp_path):
-        spec = {"n": 2}
-        # Hold the lock on what will be shard 1 of 2; opening the set
-        # must fail on that shard and release shard 0 on the way out.
-        blocker = SweepCheckpoint.open("part.s1of2", spec, directory=tmp_path)
-        try:
-            with pytest.raises(CheckpointError):
-                ShardedCheckpoint.open("part", spec, shards=2, directory=tmp_path)
-        finally:
-            blocker.close()
-        # Shard 0's lock was released: the set opens cleanly now.
-        ShardedCheckpoint.open("part", spec, shards=2, directory=tmp_path).close()
-
-
-class TestMergeProperty:
-    """Satellite invariant: sharding is invisible in the merged load.
-
-    However points were interleaved, duplicated (stolen leases) or
-    re-ordered across shard journals, merging the shards back must give
-    a progress map *bit-identical* — pickled bytes, not just ``==`` —
-    to a single journal fed the same outcomes.
-    """
-
-    @given(
-        indices=st.lists(st.integers(min_value=0, max_value=31), max_size=40),
-        shards=st.integers(min_value=1, max_value=8),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_any_interleaving_matches_a_single_journal_bit_exactly(
-        self, indices, shards
-    ):
-        spec = {"grid": 32}
-        with tempfile.TemporaryDirectory() as tmp:
-            base = Path(tmp)
-            with ShardedCheckpoint.open(
-                "prop", spec, shards=shards, directory=base / "sharded"
-            ) as sharded:
-                for index in indices:
-                    sharded.record(_deterministic(index))
-            with SweepCheckpoint.open(
-                "prop", spec, directory=base / "single"
-            ) as single:
-                for index in indices:
-                    single.record(_deterministic(index))
-            with ShardedCheckpoint.open(
-                "prop", spec, shards=shards, directory=base / "sharded"
-            ) as sharded:
-                merged = sharded.load()
-            with SweepCheckpoint.open(
-                "prop", spec, directory=base / "single"
-            ) as single:
-                flat = single.load()
-        assert pickle.dumps(tuple(sorted(merged.items()))) == pickle.dumps(
-            tuple(sorted(flat.items()))
-        )
-
-    @given(
-        indices=st.lists(st.integers(min_value=0, max_value=31), max_size=40),
-        order=st.randoms(use_true_random=False),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_merge_is_independent_of_shard_order(self, indices, order):
-        loads = {}
-        for index in indices:
-            entry = _deterministic(index)
-            if entry.status != "ok":
-                continue
-            loads.setdefault(index % 4, {})[index] = JournalEntry(
-                index=index, status="ok", attempts=1, elapsed_s=0.25,
-                error=None, value=entry.value,
-            )
-        shard_loads = list(loads.values())
-        baseline = merge_journal_loads(shard_loads)
-        order.shuffle(shard_loads)
-        shuffled = merge_journal_loads(shard_loads)
-        assert pickle.dumps(tuple(sorted(baseline.items()))) == pickle.dumps(
-            tuple(sorted(shuffled.items()))
-        )
 
 
 class TestJournalLock:

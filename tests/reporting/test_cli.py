@@ -99,20 +99,53 @@ class TestErrorContract:
         assert "fail-fast abort" in captured.out
 
     @pytest.mark.parametrize(
-        ("flag", "value"),
+        "argv",
         [
-            ("--max-lease-size", "0"),
-            ("--rejoin-backoff", "-1"),
-            ("--supervise", "-3"),
+            ["sweep-worker", "--listen", "127.0.0.1:0"],
+            ["costs", "--workers", "127.0.0.1:7070"],
+            ["dse", "--workers=127.0.0.1:7070"],
+            ["faults", "--supervise", "2"],
+            ["costs", "--max-lease-size", "8"],
+            ["dse", "--rejoin-backoff", "0.5"],
+            ["serve", "--fabric-workers", "127.0.0.1:7070"],
         ],
+        ids=lambda argv: " ".join(token.partition("=")[0] for token in argv[:2]),
     )
-    def test_bad_fabric_flags_exit_2(self, capsys, flag, value):
-        code = main(["costs", flag, value])
+    def test_removed_surface_exits_2(self, capsys, argv):
+        # One error line naming the removed surface and its replacement.
+        name = argv[0] if argv[0] == "sweep-worker" else argv[1].partition("=")[0]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith("error: ")
-        assert flag in captured.err
         assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{name} was removed" in lines[0]
+        assert "--jobs N" in lines[0]
+
+    def test_serve_module_rejects_fabric_workers(self, capsys):
+        from repro.serve.__main__ import main as serve_main
+
+        assert serve_main(["--fabric-workers=127.0.0.1:7070"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --fabric-workers was removed")
+        assert "--jobs N" in lines[0]
+
+    def test_serve_workers_is_still_the_thread_count(self):
+        from repro.cli import build_parser
+
+        assert build_parser().parse_args(["serve", "--workers", "2"]).workers == 2
+
+    @pytest.mark.parametrize("rates", ["nan", "2", "-0.1", "0.1,x"])
+    def test_bad_faults_rates_exit_2_before_any_output(self, capsys, rates):
+        code = main(["faults", "--rates", rates, "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestFaultsCommand:

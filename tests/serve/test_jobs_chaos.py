@@ -99,6 +99,21 @@ def poll_until(url, job_id, states, timeout_s=60.0):
     raise AssertionError(f"job {job_id} stuck in {state!r}, wanted {states}")
 
 
+def wait_for_records(jobs_dir, job_id, count, timeout_s=30.0):
+    """Poll the job's checkpoint journals until they hold ``count`` records."""
+    checkpoints = jobs_dir / "jobs" / job_id / "checkpoints"
+    deadline = time.monotonic() + timeout_s
+    while True:
+        records = sum(
+            max(len(journal.read_text("utf-8").splitlines()) - 1, 0)
+            for journal in checkpoints.glob("*.jsonl")
+        )
+        if records >= count:
+            return records
+        assert time.monotonic() < deadline, f"job {job_id} journalled {records} records"
+        time.sleep(0.01)
+
+
 class TestServerLoss:
     def test_sigkill_mid_job_resumes_byte_identical(self, tmp_path):
         jobs_dir = tmp_path / "jobs"
@@ -122,7 +137,8 @@ class TestServerLoss:
             assert status == 202
             victim_id = submitted["job"]["id"]
             poll_until(url, victim_id, ("running",))
-            time.sleep(0.3)  # let some chunks journal, then murder the server
+            # Let some chunks journal, then murder the server.
+            wait_for_records(jobs_dir, victim_id, 3)
             server.send_signal(signal.SIGKILL)
             server.wait(timeout=15.0)
 

@@ -134,113 +134,117 @@ class TestKeepAliveBatchDrain:
     def test_sigterm_mid_batch_finishes_the_batch_then_closes(self):
         """SIGTERM with a batch POST in flight: finish it, close, exit 0.
 
-        The batch is parked behind a slow fabric-backed survey on a
-        1-thread pool, so the SIGTERM reliably lands while the batch
-        holds an admission token but has not yet run. The drain contract:
-        the batch still completes (200, every item answered), its
-        keep-alive connection is told ``Connection: close``, and the
-        server exits 0 reporting a clean drain.
+        The server runs in-process on this (main) thread, so SIGTERM
+        reaches its real signal handler. A test-installed ``/v1/hold``
+        route parks the single pool thread on an event, the batch queues
+        behind it, and the signal is sent only once ``/v1/readyz``
+        reports the batch queued. The drain contract: the batch still
+        completes (200, every item answered), its keep-alive connection
+        is told ``Connection: close``, and the server returns 0.
         """
         import http.client
-        from urllib.parse import urlsplit
+        import os
 
-        worker = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.cli", "sweep-worker",
-                "--listen", "127.0.0.1:0", "--throttle", "0.25",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        proc = None
-        connection = None
-        try:
-            announced = worker.stdout.readline().strip()
-            assert announced.startswith("worker listening on ")
-            endpoint = announced.removeprefix("worker listening on ")
-            proc = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.serve",
-                    "--port", "0", "--workers", "1",
-                    "--deadline", "30", "--drain-deadline", "30",
-                    "--keepalive-idle", "30",
-                    "--fabric-workers", endpoint,
-                ],
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                cwd=REPO_ROOT,
-            )
-            line = proc.stdout.readline().strip()
-            assert line.startswith("listening on ")
-            url = urlsplit(line.removeprefix("listening on "))
-            connection = http.client.HTTPConnection(
-                url.hostname, url.port, timeout=60.0
-            )
+        from repro.serve.router import Response
 
-            # Prove the connection really is keep-alive before the drain.
-            connection.request("GET", CLASSIFY)
-            with connection.getresponse() as warmup:
-                assert warmup.status == 200
-                assert warmup.getheader("Connection") == "keep-alive"
-                warmup.read()
+        entered, release = threading.Event(), threading.Event()
+        booted = threading.Event()
+        captured = {}
+        outcome = {}
 
-            # Occupy the single worker thread with a throttled,
-            # fabric-backed sweep (~22 survey machines x 0.25s each).
-            base_url = line.removeprefix("listening on ")
-            survey_status = []
+        def hold(request):
+            entered.set()
+            release.wait(30.0)
+            return Response(payload={"held": True})
 
-            def slow_survey():
-                with urllib.request.urlopen(
-                    base_url + "/v1/survey?costs=true&n=64", timeout=60.0
-                ) as response:
-                    survey_status.append(response.status)
+        def ready(server):
+            server.app.router.add("GET", "/v1/hold", hold)
+            captured["server"] = server
+            booted.set()
 
-            survey = threading.Thread(target=slow_survey, daemon=True)
-            survey.start()
-            # Wait until readyz reports the fabric sweep mid-flight, so
-            # the batch below reliably queues behind it.
-            deadline = time.monotonic() + 15.0
-            while time.monotonic() < deadline:
-                with urllib.request.urlopen(
-                    base_url + "/v1/readyz", timeout=10.0
-                ) as probe:
-                    if json.loads(probe.read())["fabric"].get("active"):
-                        break
-                time.sleep(0.05)
-            else:
-                pytest.fail("the survey sweep never reached the fabric")
+        def readyz(url):
+            with urllib.request.urlopen(url + "/v1/readyz", timeout=10.0) as probe:
+                return json.loads(probe.read())
 
-            items = [{"serial": 1 + (k % 47), "n": 1 + k} for k in range(32)]
-            connection.request(
-                "POST",
-                "/v1/costs",
-                body=json.dumps({"items": items}),
-                headers={"Content-Type": "application/json"},
-            )
-            time.sleep(0.5)  # the batch is queued, token held
-            proc.send_signal(signal.SIGTERM)
+        def client():
+            try:
+                assert booted.wait(10.0)
+                server = captured["server"]
+                host, port = server.server_address[:2]
+                connection = http.client.HTTPConnection(host, port, timeout=60.0)
+                # Prove the connection really is keep-alive before the drain.
+                connection.request("GET", CLASSIFY)
+                with connection.getresponse() as warmup:
+                    outcome["warmup"] = warmup.getheader("Connection")
+                    warmup.read()
 
-            with connection.getresponse() as response:
-                assert response.status == 200
-                assert response.getheader("Connection") == "close"
-                payload = json.loads(response.read())
-            assert payload["count"] == len(items)
-            assert payload["errors"] == 0
-            survey.join(60.0)
-            assert survey_status == [200]
-            status = proc.wait(timeout=60.0)
-            assert status == 0
-            assert "drained cleanly" in proc.stderr.read()
-        finally:
-            if connection is not None:
+                held = threading.Thread(
+                    target=lambda: urllib.request.urlopen(
+                        server.url + "/v1/hold", timeout=60.0
+                    ).read(),
+                    daemon=True,
+                )
+                held.start()
+                assert entered.wait(10.0), "the hold route never ran"
+
+                items = [{"serial": 1 + (k % 47), "n": 1 + k} for k in range(32)]
+                connection.request(
+                    "POST",
+                    "/v1/costs",
+                    body=json.dumps({"items": items}),
+                    headers={"Content-Type": "application/json"},
+                )
+                deadline = time.monotonic() + 10.0
+                while readyz(server.url)["queued"] < 1:
+                    assert time.monotonic() < deadline, "the batch never queued"
+                    time.sleep(0.01)
+                outcome["before_signal"] = readyz(server.url)
+                os.kill(os.getpid(), signal.SIGTERM)
+                deadline = time.monotonic() + 10.0
+                while not server.app.drain.draining:
+                    assert time.monotonic() < deadline, "SIGTERM never began the drain"
+                    time.sleep(0.01)
+                release.set()
+
+                with connection.getresponse() as response:
+                    outcome["status"] = response.status
+                    outcome["connection"] = response.getheader("Connection")
+                    outcome["payload"] = json.loads(response.read())
+                outcome["items"] = len(items)
+                held.join(30.0)
                 connection.close()
-            for leftover in (proc, worker):
-                if leftover is not None and leftover.poll() is None:
-                    leftover.kill()
-                    leftover.wait()
+            except BaseException as error:  # noqa: BLE001 - reported below
+                outcome["error"] = error
+            finally:
+                # Never leave the server thread blocked, pass or fail.
+                release.set()
+                if "server" in captured:
+                    captured["server"].app.drain.begin_drain()
+
+        previous = {
+            signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)
+        }
+        driver = threading.Thread(target=client, daemon=True)
+        driver.start()
+        try:
+            config = ServerConfig(
+                port=0, workers=1, deadline_s=30.0, drain_s=30.0, keepalive_idle_s=30.0
+            )
+            status = run_server(config, ready=ready, announce=False)
+        finally:
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
+        driver.join(30.0)
+        if "error" in outcome:
+            raise outcome["error"]
+        assert outcome["warmup"] == "keep-alive"
+        assert outcome["before_signal"]["queued"] == 1
+        assert outcome["before_signal"]["inflight"] == 2
+        assert outcome["status"] == 200
+        assert outcome["connection"] == "close"
+        assert outcome["payload"]["count"] == outcome["items"]
+        assert outcome["payload"]["errors"] == 0
+        assert status == 0
 
 
 class TestRunServer:

@@ -158,32 +158,6 @@ class TestSurvey:
         assert costs["area_ge"] > 0
         assert costs["config_bits"] >= 0
 
-    def test_fabric_backend_answers_identically_to_local(self, service):
-        # A service pointed at a sweep-fabric worker must serve the
-        # exact payload the local engine serves — distribution is an
-        # operational choice, never a semantic one.
-        import threading
-
-        from repro.perf.fabric import FabricWorker
-        from repro.serve.validation import stable_json
-
-        worker = FabricWorker()
-        threading.Thread(target=worker.serve_forever, daemon=True).start()
-        try:
-            distributed = TaxonomyService(
-                fabric_workers=f"{worker.address[0]}:{worker.address[1]}"
-            )
-            request = {"costs": "true", "n": "8"}
-            remote = distributed.handle_survey(
-                Request.get("/v1/survey", dict(request))
-            ).payload
-            local = service.handle_survey(
-                Request.get("/v1/survey", dict(request))
-            ).payload
-        finally:
-            worker.close()
-        assert stable_json(remote) == stable_json(local)
-
 
 class TestByteStability:
     def test_identical_requests_identical_bytes(self, service):

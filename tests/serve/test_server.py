@@ -1,22 +1,14 @@
 """HTTP-level tests: a real server on an ephemeral port per test."""
 
 import json
-import os
-import subprocess
-import sys
-import textwrap
 import threading
 import urllib.error
 import urllib.request
-from pathlib import Path
 
 import pytest
 
 from repro.serve.router import Response
 from repro.serve.server import ServerConfig, ServiceApp, TaxonomyHTTPServer
-from repro.serve.validation import stable_json
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture()
@@ -133,60 +125,9 @@ class TestEndpoints:
         assert status == 200
         assert payload["status"] == "ready"
         assert payload["breaker"]["state"] == "closed"
-
-    def test_readyz_fabric_key_before_and_after_a_fabric_sweep(self):
-        """A fresh server reports the fabric ledger without importing it.
-
-        Run in a fresh interpreter: this test process has long since
-        imported the fabric. Before any sweep, readyz's ``fabric`` key
-        must be byte-identical to a freshly imported ``fleet_health()``;
-        after one, it must be that sweep's ledger.
-        """
-        probe = textwrap.dedent(
-            """
-            import json, sys, threading
-            from repro.serve.server import ServiceApp
-            from repro.serve.validation import stable_json
-
-            app = ServiceApp()
-            before = app.dispatch("GET", "/v1/readyz").payload
-            imported = "repro.perf.fabric" in sys.modules
-            from repro.perf.fabric import FabricWorker, fabric_sweep, fleet_health
-
-            fresh = fleet_health()
-            worker = FabricWorker()
-            threading.Thread(target=worker.serve_forever, daemon=True).start()
-            try:
-                values = list(fabric_sweep(abs, [-1, -2, 3], workers=[worker.address]).values)
-            finally:
-                worker.close()
-            after = app.dispatch("GET", "/v1/readyz").payload
-            print(json.dumps({
-                "imported": imported,
-                "before": before,
-                "after": after,
-                "fresh": stable_json(fresh).decode(),
-                "ledger": stable_json(fleet_health()).decode(),
-                "values": values,
-            }))
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        ))
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            timeout=60, check=True,
-        )
-        seen = json.loads(result.stdout)
-        assert seen["values"] == [1, 2, 3]
-        assert seen["imported"] is False
-        before, after = seen["before"], seen["after"]
-        assert stable_json(before["fabric"]).decode() == seen["fresh"]
-        assert stable_json(after["fabric"]).decode() == seen["ledger"]
-        assert after["fabric"]["workers"], "the sweep's worker is in the ledger"
-        before.pop("fabric"), after.pop("fabric")
-        assert after == before
+        assert sorted(payload) == [
+            "breaker", "cache", "fleet", "inflight", "queued", "status",
+        ]
 
     def test_metrics_is_prometheus_text(self, serve):
         server = serve(ServerConfig(port=0))
