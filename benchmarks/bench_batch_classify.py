@@ -1,11 +1,12 @@
 """Benchmark the columnar batch-classification kernel.
 
-Measures the perf claim of :mod:`repro.core.batch` — classify + score +
-price whole signature populations through flat decision tables and
-structure-of-arrays columns — against the scalar per-signature loop it
-is bit-exact with, and emits the machine-readable
-``benchmarks/BENCH_batch.json`` trajectory artifact so successive PRs
-can see the signatures/sec curve:
+Measures the perf claim of :mod:`repro.core.batch` — classify and
+flexibility-score whole signature populations through flat decision
+tables and structure-of-arrays columns — against the scalar
+per-signature loop it is bit-exact with (``canonical_class`` +
+``score_signature``, the same work on both sides), and emits the
+machine-readable ``benchmarks/BENCH_batch.json`` trajectory artifact so
+successive changes can see the signatures/sec curve:
 
 * the warm kernel (tables compiled once per process) must sustain a
   >= 50x per-signature throughput advantage over the scalar loop at a
@@ -20,11 +21,9 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.core.batch import SignatureBatch, classify_batch, compile_taxonomy, price_batch
+from repro.core.batch import SignatureBatch, classify_batch, compile_taxonomy
 from repro.core.classify import canonical_class
 from repro.core.flexibility import score_signature
-from repro.models.area import AreaModel
-from repro.models.configbits import ConfigBitsModel
 from repro.registry.populations import PopulationSpec, generate_signatures
 
 #: The headline population: 10k signatures stratified over the 47-class
@@ -32,8 +31,8 @@ from repro.registry.populations import PopulationSpec, generate_signatures
 #: kernel is bit-exact on all of them).
 POPULATION = PopulationSpec(size=10_000, seed=7, max_n=256)
 
-#: How many signatures the scalar loop prices when it stands in for the
-#: whole population — per-signature cost is flat, the loop is just slow.
+#: How many signatures the scalar loop classifies when it stands in for
+#: the whole population — per-signature cost is flat, the loop is just slow.
 SCALAR_SAMPLE = 1_000
 
 #: Batch sizes for the capacity table (signatures/sec vs batch size).
@@ -55,28 +54,17 @@ def _timed(fn) -> float:
     return time.perf_counter() - start
 
 
-def _scalar_pass(signatures, *, n: int = 16):
-    """The loop the kernel replaces: classify, score, Eq. 1, Eq. 2."""
-    area = AreaModel()
-    config = ConfigBitsModel()
-    out = []
-    for signature in signatures:
-        out.append(
-            (
-                canonical_class(signature).serial,
-                score_signature(signature).total,
-                area.total_ge(signature, n=n),
-                config.total(signature, n=n),
-            )
-        )
-    return out
+def _scalar_pass(signatures):
+    """The loop the kernel replaces: classify and score each signature."""
+    return [
+        (canonical_class(signature).serial, score_signature(signature).total)
+        for signature in signatures
+    ]
 
 
-def _kernel_pass(batch, *, n: int = 16):
+def _kernel_pass(batch):
     """The vectorized equivalent over prebuilt SoA columns."""
-    classified = classify_batch(batch)
-    estimates = price_batch(batch, n=n)
-    return classified, estimates
+    return classify_batch(batch)
 
 
 def test_compile_taxonomy(benchmark):
@@ -100,14 +88,13 @@ def test_scalar_loop(benchmark):
     _RESULTS["scalar_us_per_sig"] = round(scalar_s / SCALAR_SAMPLE * 1e6, 3)
 
 
-def test_batch_kernel(benchmark):
+def test_classify_kernel(benchmark):
     """Warm-kernel cost over the full 10k population (tables prebuilt)."""
     signatures = generate_signatures(POPULATION)
     batch = SignatureBatch.from_signatures(signatures)
     compile_taxonomy()  # warm: the compile is priced by test_compile_taxonomy
-    classified, estimates = benchmark(lambda: _kernel_pass(batch))
+    classified = benchmark(lambda: _kernel_pass(batch))
     assert len(classified) == POPULATION.size
-    assert estimates.area_ge.shape == (POPULATION.size,)
     kernel_s = _measure(lambda: _kernel_pass(batch))
     build_s = _measure(lambda: SignatureBatch.from_signatures(signatures))
     _RESULTS["batch_size"] = POPULATION.size

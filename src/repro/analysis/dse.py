@@ -155,7 +155,6 @@ def explore(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    batch_kernel: bool = True,
 ) -> Recommendation:
     """Rank every implementable class against the requirements.
 
@@ -164,9 +163,6 @@ def explore(
     ``on_error``/``timeout_s``/``resume`` forward to
     :func:`repro.analysis.pareto.evaluate_classes`, so a long DSE run
     can skip bad points and restart from its checkpoint journal.
-    ``batch_kernel`` forwards too: single-job runs price all classes
-    through the vectorized :mod:`repro.core.batch` kernel when NumPy is
-    available, again with a byte-identical recommendation.
     """
     with _trace.span(
         "analysis.dse", objective=objective.name, n=requirements.n, jobs=jobs
@@ -181,7 +177,6 @@ def explore(
             timeout_s=timeout_s,
             resume=resume,
             checkpoint_dir=checkpoint_dir,
-            batch_kernel=batch_kernel,
         )
         feasible = [p for p in points if requirements.admits(p)]
         infeasible = [p for p in points if not requirements.admits(p)]

@@ -82,51 +82,6 @@ def _design_point(
     )
 
 
-def _evaluate_classes_kernel(
-    classes: "list[TaxonomyClass]",
-    *,
-    n: int,
-    area_model: "AreaModel | None",
-    config_model: "ConfigBitsModel | None",
-) -> "list[DesignPoint] | None":
-    """Vectorized fast path through :mod:`repro.core.batch`.
-
-    Returns ``None`` when the kernel cannot run (no NumPy, or model
-    configurations it cannot reproduce bit-exactly) so the caller falls
-    back to the scalar sweep. When it does run, every field of every
-    :class:`DesignPoint` is bit-identical to the scalar path's.
-    """
-    from repro.core import batch as _batch
-
-    if not _batch.kernel_supports(area_model, config_model):
-        return None
-    with _trace.span(
-        "analysis.evaluate_classes", classes=len(classes), n=n, jobs=1, kernel=True
-    ):
-        columns = _batch.SignatureBatch.from_signatures(
-            cls.signature for cls in classes
-        )
-        classified = _batch.classify_batch(columns)
-        estimates = _batch.price_batch(
-            columns, n=n, area_model=area_model, config_model=config_model
-        )
-        points = []
-        for index, cls in enumerate(classes):
-            assert cls.name is not None
-            points.append(
-                DesignPoint(
-                    name=cls.name.short,
-                    serial=cls.serial,
-                    machine_type=cls.name.machine_type,
-                    flexibility=int(classified.flexibility[index]),
-                    area_ge=float(estimates.area_ge[index]),
-                    config_bits=int(estimates.config_bits[index]),
-                    n=n,
-                )
-            )
-        return points
-
-
 def evaluate_classes(
     *,
     n: int = 16,
@@ -139,7 +94,6 @@ def evaluate_classes(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    batch_kernel: bool = True,
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
 
@@ -150,13 +104,6 @@ def evaluate_classes(
     set the engine's failure policy (failed classes are dropped from the
     result), and ``resume=True`` journals completed classes so an
     interrupted evaluation restarts where it stopped.
-
-    ``batch_kernel=True`` (the default) routes plain single-job
-    evaluations through the vectorized :mod:`repro.core.batch` kernel
-    when NumPy is available — results are bit-identical either way, and
-    anything the kernel cannot serve exactly (custom per-site switch
-    models, resumable/parallel/fault-tolerant sweeps) silently uses the
-    scalar path.
     """
     cache = (
         None
@@ -165,18 +112,6 @@ def evaluate_classes(
     )
     chosen = classes if classes is not None else implementable_classes()
     implementable = [cls for cls in chosen if cls.implementable]
-    if (
-        batch_kernel
-        and jobs == 1
-        and not resume
-        and on_error == "raise"
-        and timeout_s is None
-    ):
-        points = _evaluate_classes_kernel(
-            implementable, n=n, area_model=area_model, config_model=config_model
-        )
-        if points is not None:
-            return points
     worker = functools.partial(_design_point, n=n, cache=cache)
     checkpoint = None
     if resume:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from repro.models.area import AreaModel
 from repro.models.configbits import ConfigBitsModel
 from repro.models.energy import EnergyModel
-from repro.models.reconfiguration import ReconfigurationModel, ReconfigurationPort
+from repro.models.reconfiguration import ReconfigurationModel
 from repro.obs import trace as _trace
 from repro.perf.cache import ModelCache, evaluate_models
 from repro.perf.engine import sweep
@@ -85,55 +85,6 @@ def cost_point(
     )
 
 
-def _evaluate_survey_kernel(
-    records: "tuple[ArchitectureRecord, ...]", default_n: int
-) -> "list[SurveyCostPoint] | None":
-    """Vectorized fast path pricing the whole survey in one batch.
-
-    Area and configuration bits come from :mod:`repro.core.batch`
-    (grouped, bit-exact, priced at each record's own size); the energy
-    estimate and the bits-to-cycles conversion reuse the scalar default
-    models so every :class:`SurveyCostPoint` field is bit-identical to
-    the scalar sweep's. Returns ``None`` when NumPy is missing.
-    """
-    from repro.core import batch as _batch
-
-    if not _batch.kernel_supports(None, None):
-        return None
-    with _trace.span(
-        "analysis.survey_costs",
-        architectures=len(records),
-        default_n=default_n,
-        jobs=1,
-        kernel=True,
-    ):
-        sizes = [_effective_n(record, default_n) for record in records]
-        columns = _batch.SignatureBatch.from_signatures(
-            record.signature for record in records
-        )
-        estimates = _batch.price_batch(columns, n=sizes)
-        energy = EnergyModel()
-        port = ReconfigurationPort()
-        points = []
-        for index, record in enumerate(records):
-            bits = int(estimates.config_bits[index])
-            points.append(
-                SurveyCostPoint(
-                    name=record.name,
-                    taxonomic_name=record.derived_name,
-                    flexibility=record.derived_flexibility,
-                    n_effective=sizes[index],
-                    area_ge=float(estimates.area_ge[index]),
-                    config_bits=bits,
-                    energy_per_op_pj=energy.energy_per_op(
-                        record.signature, n=sizes[index]
-                    ),
-                    reconfig_cycles=-(-bits // port.bandwidth_bits_per_cycle),
-                )
-            )
-        return points
-
-
 def evaluate_survey(
     *,
     default_n: int = 16,
@@ -147,7 +98,6 @@ def evaluate_survey(
     timeout_s: "float | None" = None,
     resume: bool = False,
     checkpoint_dir: "str | None" = None,
-    batch_kernel: bool = True,
 ) -> list[SurveyCostPoint]:
     """Estimate every surveyed architecture's costs at its own size.
 
@@ -157,25 +107,9 @@ def evaluate_survey(
     with order-preserving results. ``on_error``/``timeout_s`` set the
     engine's failure policy (failed points are dropped from the result),
     and ``resume=True`` journals completed records for restartability.
-
-    ``batch_kernel=True`` (the default) prices plain single-job,
-    default-model runs through the vectorized :mod:`repro.core.batch`
-    kernel when NumPy is available; results — and therefore the
-    rendered cost table — are bit-identical either way.
     """
     custom = (area_model, config_model, energy_model, reconfig_model)
     records = all_architectures()
-    if (
-        batch_kernel
-        and all(model is None for model in custom)
-        and jobs == 1
-        and not resume
-        and on_error == "raise"
-        and timeout_s is None
-    ):
-        points = _evaluate_survey_kernel(records, default_n)
-        if points is not None:
-            return points
     cache = (
         None
         if all(model is None for model in custom)
@@ -224,12 +158,10 @@ def survey_cost_table(
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
-    batch_kernel: bool = True,
 ) -> str:
     """Rendered cost table over the whole survey.
 
-    Byte-identical whether the batch kernel or the scalar sweep (serial
-    or pooled) produced the underlying points.
+    Byte-identical whether the sweep ran serially or pooled.
     """
     from repro.reporting.tables import format_table
 
@@ -239,7 +171,6 @@ def survey_cost_table(
         on_error=on_error,
         timeout_s=timeout_s,
         resume=resume,
-        batch_kernel=batch_kernel,
     )
     header = (
         "architecture", "class", "flex", "n", "area (GE)",

@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_argument(dse_parser)
     _add_resilience_arguments(dse_parser)
-    _add_batch_kernel_argument(dse_parser)
     _add_trace_argument(dse_parser)
     _add_profile_argument(dse_parser)
 
@@ -107,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_argument(costs_parser)
     _add_resilience_arguments(costs_parser)
-    _add_batch_kernel_argument(costs_parser)
     _add_trace_argument(costs_parser)
     _add_profile_argument(costs_parser)
 
@@ -263,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="job-runner scan interval: queue polls, orphan adoption and "
         "GC all run on this cadence (default 0.25)",
     )
-    _add_batch_kernel_argument(serve_parser)
 
     jobs_parser = sub.add_parser(
         "jobs",
@@ -427,23 +424,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_batch_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--batch-kernel/--no-batch-kernel`` flag.
-
-    The vectorized :mod:`repro.core.batch` fast path is bit-exact, so
-    the flag never changes any artifact — ``--no-batch-kernel`` exists
-    for A/B debugging and for timing the scalar path.
-    """
-    parser.add_argument(
-        "--batch-kernel",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="route single-job default-model evaluations through the "
-        "vectorized batch kernel when NumPy is available "
-        "(default on; output is byte-identical either way)",
-    )
-
-
 def _jobs_count(text: str) -> int:
     """Parse a ``--jobs`` value: any non-negative integer."""
     value = int(text)
@@ -552,7 +532,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         keepalive_requests=args.keepalive_requests,
         keepalive_idle_s=args.keepalive_idle,
         cache_size=args.cache_size,
-        batch_kernel=args.batch_kernel,
         jobs_dir=args.jobs_dir,
         job_runners=args.job_runners,
         job_ttl_s=args.job_ttl,
@@ -843,7 +822,6 @@ def _dispatch(args: argparse.Namespace) -> int:
             on_error=args.on_error,
             timeout_s=args.timeout,
             resume=args.resume,
-            batch_kernel=args.batch_kernel,
         )
         print(recommendation.explain())
     elif args.command == "costs":
@@ -856,7 +834,6 @@ def _dispatch(args: argparse.Namespace) -> int:
                 on_error=args.on_error,
                 timeout_s=args.timeout,
                 resume=args.resume,
-                batch_kernel=args.batch_kernel,
             )
         )
     elif args.command == "report":

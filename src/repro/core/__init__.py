@@ -22,16 +22,11 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         # batch kernel
         "batch": (
-            "HAVE_NUMPY",
             "BatchClassification",
-            "BatchEstimates",
             "CompiledTaxonomy",
-            "KernelUnavailableError",
             "SignatureBatch",
             "classify_batch",
             "compile_taxonomy",
-            "kernel_supports",
-            "price_batch",
         ),
         "components": (
             "ComponentCount",

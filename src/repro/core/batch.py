@@ -13,26 +13,19 @@ then one gather per column instead of a Python branch tree per machine.
 
 Populations travel as :class:`SignatureBatch` — structure-of-arrays
 columns (multiplicity ranks, link kinds, optional concrete counts) —
-and two vectorized passes cover the paper's pipeline:
+and :func:`classify_batch` produces the Table-I serial,
+implementability and the full Table-II flexibility breakdown for every
+row.
 
-* :func:`classify_batch` — Table-I serial, implementability and the
-  full Table-II flexibility breakdown for every row;
-* :func:`price_batch` — Eq.-1 area (gate equivalents) and Eq.-2
-  configuration bits for every row at a per-row design size.
-
-**Parity contract.** Both passes are bit-exact against the scalar path,
+**Parity contract.** The pass is bit-exact against the scalar path,
 not merely close: classification and flexibility come out of tables
-*built by the scalar classifier itself*, and the pricing pass groups
-rows by structure and replays the scalar models' exact floating-point
-association order per group (integer Eq.-2 terms are exact anyway).
-``tests/core/test_batch.py`` enforces ``==`` — including float
-equality — over the full survey and hypothesis-random signatures.
+*built by the scalar classifier itself*. ``tests/core/test_batch.py``
+enforces ``==`` over all 406 constructible structures, the 47 classes,
+the 25-architecture survey and hypothesis-random signatures.
 
-The kernel degrades loudly, not wrongly: without NumPy every entry
-point raises :class:`KernelUnavailableError` (callers fall back to the
-scalar path), and model configurations the kernel cannot reproduce
-bit-exactly (per-site ``switch_models`` overrides) are refused via
-:func:`kernel_supports` rather than approximated.
+Eq. 1 / Eq. 2 pricing is not vectorized: the paper's analyses price
+at most a few dozen signatures, where the scalar models behind
+:class:`repro.perf.cache.ModelCache` are faster than building columns.
 """
 
 from __future__ import annotations
@@ -42,37 +35,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.core.components import ComponentCount, Granularity, Multiplicity
 from repro.core.connectivity import LINK_SITES, Link, LinkKind, LinkSite
-from repro.core.errors import ClassificationError, ReproError, SignatureError
+from repro.core.errors import ClassificationError, SignatureError
 from repro.core.flexibility import FlexibilityScore
 from repro.core.naming import MachineType
 from repro.core.signature import Signature
 from repro.core.taxonomy import TaxonomyClass, class_by_serial
 
-try:  # pragma: no cover - exercised only on numpy-less installs
-    import numpy as _np
-except ImportError:  # pragma: no cover - the base image bundles numpy
-    _np = None
-
 __all__ = [
-    "HAVE_NUMPY",
     "STRUCT_SPACE",
-    "KernelUnavailableError",
     "CompiledTaxonomy",
     "compile_taxonomy",
     "SignatureBatch",
     "BatchClassification",
-    "BatchEstimates",
     "classify_batch",
-    "price_batch",
-    "kernel_supports",
     "structural_signature",
     "valid_structures",
 ]
-
-#: Whether the NumPy kernel is importable in this process.
-HAVE_NUMPY: bool = _np is not None
 
 #: Size of the structural space: 4 IP ranks x 4 DP ranks x 3^5 link kinds.
 STRUCT_SPACE: int = 4 * 4 * 3**5
@@ -101,18 +83,6 @@ _SITE_ENDPOINTS: dict[LinkSite, tuple[bool, bool]] = {
     LinkSite.DP_DM: (False, False),
     LinkSite.DP_DP: (False, False),
 }
-
-
-class KernelUnavailableError(ReproError):
-    """Raised when a batch entry point runs without NumPy present."""
-
-
-def _require_numpy() -> None:
-    if _np is None:  # pragma: no cover - the base image bundles numpy
-        raise KernelUnavailableError(
-            "the batch-classification kernel requires numpy; "
-            "use the scalar repro.core.classify path instead"
-        )
 
 
 def struct_index(ips_rank: int, dps_rank: int, kinds: Sequence[int]) -> int:
@@ -173,9 +143,8 @@ def _iter_structures() -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
 def valid_structures() -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """Every constructible ``(ips_rank, dps_rank, kinds)`` combination.
 
-    Pure Python (no NumPy needed) — this is the sample space of the
-    synthetic population generator as well as the row set of the
-    compiled tables.
+    Pure Python — this is the sample space of the synthetic population
+    generator as well as the row set of the compiled tables.
     """
     valid: list[tuple[int, int, tuple[int, ...]]] = []
     for _, ips_rank, dps_rank, kinds in _iter_structures():
@@ -211,7 +180,7 @@ class CompiledTaxonomy:
     def flexibility(self) -> "object":
         """Total Table-II flexibility per structure (sum of the three terms)."""
         return (
-            self.multiplicity_points.astype(_np.int16)
+            self.multiplicity_points.astype(np.int16)
             + self.switch_points
             + self.universal_bonus
         )
@@ -226,18 +195,17 @@ def compile_taxonomy() -> CompiledTaxonomy:
     and :func:`~repro.core.flexibility.score_signature` fill the row.
     The result is cached for the process lifetime.
     """
-    _require_numpy()
     from repro.core.classify import canonical_class
     from repro.core.flexibility import score_signature
 
-    valid = _np.zeros(STRUCT_SPACE, dtype=bool)
-    serial = _np.zeros(STRUCT_SPACE, dtype=_np.int16)
-    implementable = _np.zeros(STRUCT_SPACE, dtype=bool)
-    mult_points = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    switch_points = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    universal = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    machine = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
-    switched_mask = _np.zeros(STRUCT_SPACE, dtype=_np.uint8)
+    valid = np.zeros(STRUCT_SPACE, dtype=bool)
+    serial = np.zeros(STRUCT_SPACE, dtype=np.int16)
+    implementable = np.zeros(STRUCT_SPACE, dtype=bool)
+    mult_points = np.zeros(STRUCT_SPACE, dtype=np.uint8)
+    switch_points = np.zeros(STRUCT_SPACE, dtype=np.uint8)
+    universal = np.zeros(STRUCT_SPACE, dtype=np.uint8)
+    machine = np.zeros(STRUCT_SPACE, dtype=np.uint8)
+    switched_mask = np.zeros(STRUCT_SPACE, dtype=np.uint8)
 
     for index, ips_rank, dps_rank, kinds in _iter_structures():
         try:
@@ -279,9 +247,7 @@ class SignatureBatch:
     ranks (uint8, 0..3), ``kinds`` is an ``(N, 5)`` uint8 matrix of
     link-kind ranks in Table-I column order, and ``ips_value`` /
     ``dps_value`` hold concrete populations as int64 with ``-1``
-    meaning "symbolic" (resolved against the design size ``n`` at
-    pricing time, exactly like
-    :meth:`repro.core.components.ComponentCount.resolve`).
+    meaning "symbolic" (no concrete count).
     """
 
     ips_rank: "object"
@@ -296,14 +262,13 @@ class SignatureBatch:
     @classmethod
     def from_signatures(cls, signatures: Iterable[Signature]) -> "SignatureBatch":
         """Columnize scalar :class:`Signature` objects (always valid rows)."""
-        _require_numpy()
         rows = list(signatures)
         count = len(rows)
-        ips_rank = _np.empty(count, dtype=_np.uint8)
-        dps_rank = _np.empty(count, dtype=_np.uint8)
-        kinds = _np.empty((count, 5), dtype=_np.uint8)
-        ips_value = _np.empty(count, dtype=_np.int64)
-        dps_value = _np.empty(count, dtype=_np.int64)
+        ips_rank = np.empty(count, dtype=np.uint8)
+        dps_rank = np.empty(count, dtype=np.uint8)
+        kinds = np.empty((count, 5), dtype=np.uint8)
+        ips_value = np.empty(count, dtype=np.int64)
+        dps_value = np.empty(count, dtype=np.int64)
         for row, signature in enumerate(rows):
             ips_rank[row] = signature.ips.multiplicity.rank
             dps_rank[row] = signature.dps.multiplicity.rank
@@ -335,24 +300,23 @@ class SignatureBatch:
         checked; a bad row raises :class:`SignatureError` naming its
         index, mirroring what the scalar constructor would have raised.
         """
-        _require_numpy()
-        ips = _np.ascontiguousarray(ips_rank, dtype=_np.int64)
-        dps = _np.ascontiguousarray(dps_rank, dtype=_np.int64)
-        kind_matrix = _np.ascontiguousarray(kinds, dtype=_np.int64)
+        ips = np.ascontiguousarray(ips_rank, dtype=np.int64)
+        dps = np.ascontiguousarray(dps_rank, dtype=np.int64)
+        kind_matrix = np.ascontiguousarray(kinds, dtype=np.int64)
         count = ips.shape[0]
         if dps.shape != (count,) or kind_matrix.shape != (count, 5):
             raise SignatureError(
                 "column shapes disagree: expected ips_rank (N,), dps_rank (N,), kinds (N, 5)"
             )
         iv = (
-            _np.full(count, -1, dtype=_np.int64)
+            np.full(count, -1, dtype=np.int64)
             if ips_value is None
-            else _np.ascontiguousarray(ips_value, dtype=_np.int64)
+            else np.ascontiguousarray(ips_value, dtype=np.int64)
         )
         dv = (
-            _np.full(count, -1, dtype=_np.int64)
+            np.full(count, -1, dtype=np.int64)
             if dps_value is None
-            else _np.ascontiguousarray(dps_value, dtype=_np.int64)
+            else np.ascontiguousarray(dps_value, dtype=np.int64)
         )
         if iv.shape != (count,) or dv.shape != (count,):
             raise SignatureError("value columns must have shape (N,)")
@@ -363,14 +327,14 @@ class SignatureBatch:
         if count and (kind_matrix.min() < 0 or kind_matrix.max() > 2):
             raise SignatureError("link-kind ranks must lie in 0..2")
         batch = cls(
-            ips_rank=ips.astype(_np.uint8),
-            dps_rank=dps.astype(_np.uint8),
-            kinds=kind_matrix.astype(_np.uint8),
+            ips_rank=ips.astype(np.uint8),
+            dps_rank=dps.astype(np.uint8),
+            kinds=kind_matrix.astype(np.uint8),
             ips_value=iv,
             dps_value=dv,
         )
         tables = compile_taxonomy()
-        bad = _np.nonzero(~tables.valid[batch.struct_index()])[0]
+        bad = np.nonzero(~tables.valid[batch.struct_index()])[0]
         if bad.size:
             row = int(bad[0])
             raise SignatureError(
@@ -380,10 +344,10 @@ class SignatureBatch:
             )
         for label, ranks, values in (("ips", ips, iv), ("dps", dps, dv)):
             concrete = values >= 0
-            expected = _np.minimum(values, 2)  # 0->0, 1->1, >=2 -> MANY rank
+            expected = np.minimum(values, 2)  # 0->0, 1->1, >=2 -> MANY rank
             mismatched = concrete & (ranks != 3) & (ranks != expected)
             if mismatched.any():
-                row = int(_np.nonzero(mismatched)[0][0])
+                row = int(np.nonzero(mismatched)[0][0])
                 raise SignatureError(
                     f"row {row}: {label} count {int(values[row])} is inconsistent "
                     f"with multiplicity rank {int(ranks[row])}"
@@ -392,28 +356,10 @@ class SignatureBatch:
 
     def struct_index(self) -> "object":
         """Per-row :func:`struct_index` into the compiled tables (int64)."""
-        index = self.ips_rank.astype(_np.int64) * 4 + self.dps_rank
+        index = self.ips_rank.astype(np.int64) * 4 + self.dps_rank
         for column in range(5):
             index = index * 3 + self.kinds[:, column]
         return index
-
-    def resolve_populations(self, n: "object") -> "tuple[object, object]":
-        """Resolved (n_ip, n_dp) per row: concrete value, else 0/1/``n``.
-
-        ``n`` may be a scalar or a per-row array, matching
-        :meth:`~repro.core.components.ComponentCount.resolve` row-wise.
-        """
-        default = _np.broadcast_to(
-            _np.asarray(n, dtype=_np.int64), (len(self),)
-        )
-        resolved = []
-        for ranks, values in (
-            (self.ips_rank, self.ips_value),
-            (self.dps_rank, self.dps_value),
-        ):
-            symbolic = _np.where(ranks == 0, 0, _np.where(ranks == 1, 1, default))
-            resolved.append(_np.where(values >= 0, values, symbolic))
-        return resolved[0], resolved[1]
 
     def signature(self, row: int) -> Signature:
         """Reconstruct the scalar :class:`Signature` of one row."""
@@ -468,7 +414,7 @@ class BatchClassification:
     def flexibility(self) -> "object":
         """Total Table-II flexibility per row (int16)."""
         return (
-            self.multiplicity_points.astype(_np.int16)
+            self.multiplicity_points.astype(np.int16)
             + self.switch_points
             + self.universal_bonus
         )
@@ -509,10 +455,9 @@ class BatchClassification:
 
 def classify_batch(batch: SignatureBatch) -> BatchClassification:
     """Classify and flexibility-score a whole batch via table gathers."""
-    _require_numpy()
     tables = compile_taxonomy()
     index = batch.struct_index()
-    invalid = _np.nonzero(~tables.valid[index])[0]
+    invalid = np.nonzero(~tables.valid[index])[0]
     if invalid.size:
         raise SignatureError(
             f"batch row {int(invalid[0])} encodes an unconstructible structure"
@@ -526,206 +471,3 @@ def classify_batch(batch: SignatureBatch) -> BatchClassification:
         machine_code=tables.machine_code[index],
         switched_mask=tables.switched_mask[index],
     )
-
-
-@dataclass(frozen=True)
-class BatchEstimates:
-    """Vectorized Eq.-1 / Eq.-2 results, row-aligned with the batch."""
-
-    area_ge: "object"
-    config_bits: "object"
-
-    def __len__(self) -> int:
-        return int(self.area_ge.shape[0])
-
-
-def kernel_supports(area_model=None, config_model=None) -> bool:
-    """Whether the kernel can price these model configurations bit-exactly.
-
-    Per-site ``switch_models`` overrides are refused (their cost
-    functions are arbitrary Python); custom
-    :class:`~repro.models.area.ComponentAreas` /
-    :class:`~repro.models.configbits.ComponentConfigWords`, datapath
-    widths and the ``reconfigurable_components`` flag are all supported.
-    """
-    if not HAVE_NUMPY:
-        return False
-    for model in (area_model, config_model):
-        if model is not None and getattr(model, "switch_models", None):
-            return False
-    return True
-
-
-def _ceil_log2_array(values: "object") -> "object":
-    """Vectorized ``ceil(log2(v))`` with values <= 1 costing 0 bits.
-
-    For ``v > 1`` this is ``bit_length(v - 1)``, recovered exactly from
-    the float64 exponent (``frexp``) — identical to the scalar
-    :func:`repro.models.switches._ceil_log2` over the kernel's domain.
-    """
-    shifted = _np.maximum(values - 1, 1).astype(_np.float64)
-    exponents = _np.frexp(shifted)[1].astype(_np.int64)
-    return _np.where(values <= 1, 0, exponents)
-
-
-def _site_ports(
-    site_column: int, n_ip: "object", n_dp: "object"
-) -> "tuple[object, object]":
-    """Per-row (inputs, outputs) for one link site (memories pair 1:1)."""
-    site = LINK_SITES[site_column]
-    ports = {
-        LinkSite.IP_IP: (n_ip, n_ip),
-        LinkSite.IP_DP: (n_ip, n_dp),
-        LinkSite.IP_IM: (n_ip, n_ip),
-        LinkSite.DP_DM: (n_dp, n_dp),
-        LinkSite.DP_DP: (n_dp, n_dp),
-    }
-    return ports[site]
-
-
-def _area_group(
-    ips_rank: int,
-    kinds: Sequence[int],
-    n_ip: "object",
-    n_dp: "object",
-    is_universal: bool,
-    areas,
-    width_bits: int,
-) -> "object":
-    """Eq.-1 logic area for one structure group, scalar op order replayed."""
-    if is_universal:
-        from repro.models.area import _CELLS_PER_SOFT_DP, _CELLS_PER_SOFT_IP
-
-        ip_logic = n_ip * areas.lut_cell_ge * _CELLS_PER_SOFT_IP
-        dp_logic = n_dp * areas.lut_cell_ge * _CELLS_PER_SOFT_DP
-    else:
-        ip_logic = n_ip * areas.ip_ge
-        dp_logic = n_dp * areas.dp_ge
-    if ips_rank == 0:  # data-flow: Eq. 1 ignores the IP terms
-        ip_logic = _np.zeros_like(n_ip, dtype=_np.float64)
-    switch_sum = _np.zeros_like(n_ip, dtype=_np.float64)
-    for column, kind in enumerate(kinds):
-        if kind == 0:
-            continue
-        inputs, outputs = _site_ports(column, n_ip, n_dp)
-        if kind == 1:  # direct wiring: DirectLinkModel.area_ge
-            term = _np.maximum(inputs, outputs) * width_bits * 0.5
-        else:  # full crossbar: FullCrossbarModel.area_ge
-            mux_cells = _np.maximum(inputs - 1, 1)
-            term = _np.where(
-                (inputs == 0) | (outputs == 0),
-                0.0,
-                outputs * mux_cells * width_bits * 3.0,
-            )
-        switch_sum = switch_sum + term
-    return (ip_logic + dp_logic) + switch_sum
-
-
-def _config_group(
-    ips_rank: int,
-    kinds: Sequence[int],
-    n_ip: "object",
-    n_dp: "object",
-    is_universal: bool,
-    words,
-    width_bits: int,
-    reconfigurable: bool,
-) -> "object":
-    """Eq.-2 configuration bits for one structure group (exact ints)."""
-    if is_universal:
-        from repro.models.area import _CELLS_PER_SOFT_DP, _CELLS_PER_SOFT_IP
-
-        cell_cw = words.lut_cell_cw
-        ip_bits = n_ip * _CELLS_PER_SOFT_IP * cell_cw
-        dp_bits = n_dp * _CELLS_PER_SOFT_DP * cell_cw
-        im_bits = n_ip * words.im_cw
-        dm_bits = n_dp * words.dm_cw
-    elif reconfigurable:
-        ip_bits = n_ip * words.ip_cw
-        dp_bits = n_dp * words.dp_cw
-        im_bits = n_ip * words.im_cw
-        dm_bits = n_dp * words.dm_cw
-    else:
-        zero = _np.zeros_like(n_ip)
-        ip_bits = dp_bits = im_bits = dm_bits = zero
-    if ips_rank == 0:  # data-flow: no IP, no IM
-        zero = _np.zeros_like(n_ip)
-        ip_bits = zero
-        im_bits = zero
-    total = ip_bits + dp_bits + im_bits + dm_bits
-    for column, kind in enumerate(kinds):
-        if kind != 2:  # direct wiring has nothing to configure
-            continue
-        inputs, outputs = _site_ports(column, n_ip, n_dp)
-        bits = outputs * _ceil_log2_array(inputs + 1)
-        total = total + _np.where((inputs == 0) | (outputs == 0), 0, bits)
-    return total
-
-
-def price_batch(
-    batch: SignatureBatch,
-    *,
-    n: "int | object" = 16,
-    area_model=None,
-    config_model=None,
-) -> BatchEstimates:
-    """Eq.-1 area and Eq.-2 config bits for every row, bit-exact.
-
-    ``n`` substitutes for symbolic populations and may be a scalar or a
-    per-row array (the survey prices each record at its own size). Rows
-    are grouped by structure; within a group the scalar models' exact
-    operation order is replayed over the resolved population arrays, so
-    every float matches :meth:`repro.models.area.AreaModel.total_ge`
-    and every int matches
-    :meth:`repro.models.configbits.ConfigBitsModel.total` to the bit.
-    Raises :class:`KernelUnavailableError` for unsupported model
-    configurations (see :func:`kernel_supports`).
-    """
-    _require_numpy()
-    from repro.models.area import AreaModel
-    from repro.models.configbits import ConfigBitsModel
-
-    area = area_model if area_model is not None else AreaModel()
-    config = config_model if config_model is not None else ConfigBitsModel()
-    if area.switch_models or config.switch_models:
-        raise KernelUnavailableError(
-            "per-site switch_models overrides are not supported by the batch "
-            "kernel; use the scalar models"
-        )
-    count = len(batch)
-    sizes = _np.broadcast_to(_np.asarray(n, dtype=_np.int64), (count,))
-    if count and sizes.min() <= 0:
-        raise ValueError("n must be positive")
-    n_ip, n_dp = batch.resolve_populations(sizes)
-    index = batch.struct_index()
-    area_out = _np.empty(count, dtype=_np.float64)
-    bits_out = _np.empty(count, dtype=_np.int64)
-    unique, inverse = _np.unique(index, return_inverse=True)
-    for group, structure in enumerate(unique):
-        rows = _np.nonzero(inverse == group)[0]
-        structure = int(structure)
-        kinds = []
-        remaining = structure
-        for _ in range(5):
-            kinds.append(remaining % 3)
-            remaining //= 3
-        kinds.reverse()
-        dps_rank = remaining % 4
-        ips_rank = remaining // 4
-        is_universal = 3 in (ips_rank, dps_rank)
-        g_ip = n_ip[rows]
-        g_dp = n_dp[rows]
-        area_out[rows] = _area_group(
-            ips_rank, kinds, g_ip, g_dp, is_universal, area.areas, area.width_bits
-        )
-        bits_out[rows] = _config_group(
-            ips_rank,
-            kinds,
-            g_ip,
-            g_dp,
-            is_universal,
-            config.words,
-            config.width_bits,
-            config.reconfigurable_components,
-        )
-    return BatchEstimates(area_ge=area_out, config_bits=bits_out)

@@ -21,7 +21,10 @@ The analysis sweeps (:func:`repro.analysis.resilience.resilience_sweep`,
 :func:`repro.analysis.pareto.evaluate_classes`) and their CLI
 subcommands (``--jobs N``, ``--on-error``, ``--timeout``, ``--resume``)
 are built on this engine; see ``docs/performance.md`` and
-``docs/robustness.md``.
+``docs/robustness.md``. These analyses price their few dozen points
+through :class:`ModelCache` and the scalar models only: at that size the
+scalar models beat the columnar :mod:`repro.core.batch` kernel, which
+serves large classify batches (``serve``'s ``POST /v1/classify``).
 """
 
 from repro._lazy import lazy_exports

@@ -31,12 +31,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from repro.core.batch import (
-    HAVE_NUMPY,
-    SignatureBatch,
-    structural_signature,
-    valid_structures,
-)
+from repro.core.batch import SignatureBatch, structural_signature, valid_structures
 from repro.core.classify import canonical_class
 from repro.core.components import ComponentCount, Multiplicity
 from repro.core.errors import ReproError
@@ -152,9 +147,7 @@ def generate_signatures(spec: PopulationSpec) -> tuple[Signature, ...]:
 def generate_batch(spec: PopulationSpec) -> SignatureBatch:
     """Generate the population directly as kernel-ready SoA columns.
 
-    Requires NumPy (raises
-    :class:`~repro.core.batch.KernelUnavailableError` otherwise); the
-    rows are exactly ``generate_signatures(spec)`` in order.
+    The rows are exactly ``generate_signatures(spec)`` in order.
     """
     return SignatureBatch.from_signatures(generate_signatures(spec))
 
@@ -178,8 +171,5 @@ def describe_population(signatures: Sequence[Signature]) -> str:
         share = f"{count / total:.1%}" if total else "-"
         rows.append((str(serial), cls.comment, str(count), share))
     table = format_table(("Serial", "Class", "Count", "Share"), rows)
-    summary = (
-        f"{total} signatures across {len(counts)} of 47 classes "
-        f"(numpy kernel {'available' if HAVE_NUMPY else 'unavailable'})"
-    )
+    summary = f"{total} signatures across {len(counts)} of 47 classes"
     return f"{table}\n{summary}"

@@ -151,11 +151,6 @@ class ServerConfig:
     #: Directory holding the fleet stats-bus sockets (set by the
     #: pre-fork parent; ``None`` means single-process, no bus).
     fleet_dir: "str | None" = None
-    #: Classify ``{"items": [...]}`` batches through the vectorized
-    #: :mod:`repro.core.batch` kernel when NumPy is available. Response
-    #: bodies are byte-identical either way; False forces the scalar
-    #: per-item loop (debugging / A-B benchmarking).
-    batch_kernel: bool = True
     #: Directory backing the durable ``/v1/jobs`` subsystem
     #: (:mod:`repro.serve.jobs`); ``None`` disables it. Pre-fork workers
     #: inherit one shared directory, so any worker serves any job.
@@ -468,15 +463,11 @@ class ServiceApp:
         whole batch (504) — by then every remaining item would time out
         anyway.
 
-        Classify batches take the vectorized kernel path when enabled
-        (``config.batch_kernel``) and NumPy is importable; its response
-        is byte-identical to this scalar loop's.
+        Classify batches take the vectorized kernel path; this per-item
+        loop serves the other batchable endpoint, ``/v1/costs``.
         """
-        if self.config.batch_kernel and request.path == "/v1/classify":
-            from repro.core import batch as _batch
-
-            if _batch.HAVE_NUMPY:
-                return self._run_batch_kernel(request)
+        if request.path == "/v1/classify":
+            return self._run_classify_batch(request)
         results: list[dict] = []
         errors = 0
         assert request.items is not None
@@ -494,20 +485,20 @@ class ServiceApp:
             payload={"count": len(results), "errors": errors, "results": results}
         )
 
-    def _run_batch_kernel(self, request: Request) -> Response:
+    def _run_classify_batch(self, request: Request) -> Response:
         """Vectorized classify-batch execution via :mod:`repro.core.batch`.
 
-        Three phases, preserving every observable of the scalar loop:
-        per-item deadline checks, per-item response-cache probes and
-        per-item error isolation happen first (items are parsed by the
-        same validation code the scalar handler uses); the surviving
-        signatures are then classified in one table-gather; finally each
-        payload is rendered by the shared
+        Three phases, preserving every observable of sending the items
+        one by one: per-item deadline checks, per-item response-cache
+        probes and per-item error isolation happen first (items are
+        parsed by the same validation code the single-request handler
+        uses); the surviving signatures are then classified in one
+        table-gather; finally each payload is rendered by the shared
         :meth:`~repro.serve.router.TaxonomyService.classify_payload`, so
-        the response body is byte-identical to the scalar path's. A
-        duplicate of an item already awaiting classification defers its
+        each result is byte-identical to the item's single-request body.
+        A duplicate of an item already awaiting classification defers its
         cache probe until after that item's payload is stored, keeping
-        the cache's hit/miss accounting identical to the scalar loop's.
+        the cache's hit/miss accounting identical to single requests'.
         """
         from repro.core import batch as _batch
 

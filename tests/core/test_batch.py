@@ -1,11 +1,11 @@
 """Parity tests for the columnar batch-classification kernel.
 
 The contract of :mod:`repro.core.batch` is bit-exactness: every number
-the vectorized passes produce — class serial, flexibility, Eq.-1 area,
-Eq.-2 configuration bits — must equal (``==``, not ``approx``) what the
-scalar classifier and models return for the same signature. These tests
-enforce that over the 47-class table, the 25-architecture survey, and
-hypothesis-random populations.
+the vectorized pass produces — class serial, implementability and the
+flexibility breakdown — must equal (``==``, not ``approx``) what the
+scalar classifier returns for the same signature. These tests enforce
+that over all 406 constructible structures, the 47-class table, the
+25-architecture survey and hypothesis-random populations.
 """
 
 import numpy as np
@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 
 from repro.core.batch import (
     STRUCT_SPACE,
-    KernelUnavailableError,
     SignatureBatch,
     classify_batch,
     compile_taxonomy,
-    kernel_supports,
-    price_batch,
     structural_signature,
     valid_structures,
 )
@@ -28,24 +25,15 @@ from repro.core.classify import canonical_class
 from repro.core.errors import SignatureError
 from repro.core.flexibility import score_signature
 from repro.core.signature import make_signature
-from repro.core.connectivity import LinkSite
-from repro.models.area import AreaModel, ComponentAreas
-from repro.models.configbits import ComponentConfigWords, ConfigBitsModel
-from repro.models.switches import DirectLinkModel
 from repro.registry.architectures import all_architectures
 from repro.registry.populations import PopulationSpec, generate_signatures
-from repro.core.taxonomy import all_classes, implementable_classes
+from repro.core.taxonomy import all_classes
 
 
-def assert_scalar_parity(signatures, *, n=16, area_model=None, config_model=None):
-    """The whole contract in one helper: classify + score + price must match."""
-    area = area_model if area_model is not None else AreaModel()
-    config = config_model if config_model is not None else ConfigBitsModel()
+def assert_scalar_parity(signatures):
+    """The whole contract in one helper: classify + score must match."""
     batch = SignatureBatch.from_signatures(signatures)
     classified = classify_batch(batch)
-    estimates = price_batch(
-        batch, n=n, area_model=area_model, config_model=config_model
-    )
     for row, signature in enumerate(signatures):
         expected_class = canonical_class(signature)
         expected_score = score_signature(signature)
@@ -53,8 +41,6 @@ def assert_scalar_parity(signatures, *, n=16, area_model=None, config_model=None
         assert bool(classified.implementable[row]) == expected_class.implementable
         assert int(classified.flexibility[row]) == expected_score.total
         assert classified.score(row) == expected_score
-        assert float(estimates.area_ge[row]) == area.total_ge(signature, n=n)
-        assert int(estimates.config_bits[row]) == config.total(signature, n=n)
 
 
 class TestCompiledTables:
@@ -93,16 +79,12 @@ class TestClassifyParity:
         )
         assert_scalar_parity(signatures)
 
-    def test_degenerate_n_1(self):
-        signatures = [cls.signature for cls in implementable_classes()]
-        assert_scalar_parity(signatures, n=1)
-
     def test_maximal_link_universal(self):
         usp = make_signature(
             "n", "n", ip_ip="nxn", ip_dp="nxn", ip_im="nxn",
             dp_dm="nxn", dp_dp="nxn",
         )
-        assert_scalar_parity([usp], n=64)
+        assert_scalar_parity([usp])
 
     def test_concrete_counts_survive_round_trip(self):
         morpho = make_signature(
@@ -111,27 +93,11 @@ class TestClassifyParity:
         batch = SignatureBatch.from_signatures([morpho])
         rebuilt = batch.signature(0)
         # Link endpoints are stored structurally (the canonical symbols),
-        # but the component counts — everything pricing reads — survive.
+        # but the component counts survive.
         assert rebuilt.ips == morpho.ips
         assert rebuilt.dps == morpho.dps
         assert rebuilt.link_kinds() == morpho.link_kinds()
-        assert_scalar_parity([morpho, rebuilt], n=64)
-
-    def test_per_row_sizes(self):
-        records = all_architectures()
-        signatures = [rec.signature for rec in records]
-        sizes = [(i % 7) + 1 for i in range(len(signatures))]
-        batch = SignatureBatch.from_signatures(signatures)
-        estimates = price_batch(batch, n=sizes)
-        area = AreaModel()
-        config = ConfigBitsModel()
-        for row, signature in enumerate(signatures):
-            assert float(estimates.area_ge[row]) == area.total_ge(
-                signature, n=sizes[row]
-            )
-            assert int(estimates.config_bits[row]) == config.total(
-                signature, n=sizes[row]
-            )
+        assert_scalar_parity([morpho, rebuilt])
 
 
 @st.composite
@@ -151,11 +117,8 @@ def random_rows(draw):
 
 class TestHypothesisParity:
     @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(random_rows(), min_size=1, max_size=8),
-        n=st.integers(min_value=1, max_value=512),
-    )
-    def test_random_rows_match_scalar(self, rows, n):
+    @given(rows=st.lists(random_rows(), min_size=1, max_size=8))
+    def test_random_rows_match_scalar(self, rows):
         from dataclasses import replace
 
         from repro.core.components import ComponentCount
@@ -170,47 +133,7 @@ class TestHypothesisParity:
                     dps=ComponentCount(base.dps.multiplicity, dv),
                 )
             )
-        assert_scalar_parity(signatures, n=n)
-
-
-class TestCustomModels:
-    AREAS = ComponentAreas(
-        ip_ge=1111.0, dp_ge=222.0, im_bits=3300, dm_bits=440, lut_cell_ge=7.0
-    )
-    WORDS = ComponentConfigWords(
-        ip_cw=7, dp_cw=9, im_cw=3, dm_cw=5, lut_inputs=3, lut_routing_cw=11
-    )
-
-    def test_custom_areas_and_words(self):
-        signatures = [cls.signature for cls in implementable_classes()]
-        assert_scalar_parity(
-            signatures,
-            area_model=AreaModel(areas=self.AREAS, width_bits=48),
-            config_model=ConfigBitsModel(words=self.WORDS, width_bits=48),
-        )
-
-    def test_non_reconfigurable_components(self):
-        signatures = [cls.signature for cls in implementable_classes()]
-        assert_scalar_parity(
-            signatures,
-            config_model=ConfigBitsModel(reconfigurable_components=False),
-        )
-
-    def test_switch_models_are_refused(self):
-        model = AreaModel(switch_models={LinkSite.DP_DP: DirectLinkModel()})
-        assert not kernel_supports(model, None)
-        batch = SignatureBatch.from_signatures(
-            [implementable_classes()[0].signature]
-        )
-        with pytest.raises(KernelUnavailableError):
-            price_batch(batch, area_model=model)
-
-    def test_positive_n_required(self):
-        batch = SignatureBatch.from_signatures(
-            [implementable_classes()[0].signature]
-        )
-        with pytest.raises(ValueError, match="n must be positive"):
-            price_batch(batch, n=0)
+        assert_scalar_parity(signatures)
 
 
 class TestFromColumns:

@@ -83,9 +83,10 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
             "classify --ips 1 --dps n --ip-dp 1-n --ip-im 1-1 --dp-dm nxn --dp-dp nxn".split(),
             ("numpy", "networkx", "multiprocessing"),
         ),
-        (["costs"], ("networkx", "repro.perf.journal")),
+        (["costs"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal")),
+        (["dse"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal")),
     ],
-    ids=["table1", "classify", "costs"],
+    ids=["table1", "classify", "costs", "dse"],
 )
 def test_cli_command_loads_only_what_it_runs(argv, never):
     statement = (

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import trace, validate_trace
+from repro.obs import REGISTRY, trace, validate_trace
+from repro.perf.cache import DEFAULT_CACHE
 
 
 @pytest.fixture(autouse=True)
@@ -83,12 +84,18 @@ class TestMetricsCommand:
         assert "machine.runs" in out
 
     def test_json_snapshot_is_machine_readable(self, capsys):
+        # Counters are process-global, so measure what this run adds;
+        # an empty model cache makes the first survey pass miss, as it
+        # does in a fresh CLI process.
+        DEFAULT_CACHE.clear()
+        hits_before, misses_before = _cache_counters()
         code = main(["metrics", "--n", "8", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         snapshot = json.loads(out)
         assert snapshot["model_cache.hits"]["type"] == "counter"
-        assert snapshot["model_cache.hits"]["value"] > 0
+        assert snapshot["model_cache.hits"]["value"] - hits_before > 0
+        assert snapshot["model_cache.misses"]["value"] - misses_before > 0
         assert snapshot["sweep.wall_s"]["type"] == "histogram"
         assert snapshot["sweep.wall_s"]["count"] > 0
 
@@ -106,6 +113,15 @@ class TestProfileFlag:
         assert "profile: costs" in content
         assert "cumulative time" in content
         assert "allocation sites" in content  # memory mode is on for the CLI
+
+
+def _cache_counters():
+    """Current (hits, misses) of the process-global model-cache counters."""
+    snapshot = REGISTRY.snapshot()
+    return (
+        snapshot["model_cache.hits"]["value"],
+        snapshot["model_cache.misses"]["value"],
+    )
 
 
 def _walk(span):

@@ -1,10 +1,11 @@
-"""Byte-identity of batch ``/v1/classify`` with the kernel on vs off.
+"""Batch ``/v1/classify`` against its oracle: the same items sent one by one.
 
-The vectorized batch path (``ServerConfig.batch_kernel``) must be
-unobservable from outside: identical response bytes, identical error
-isolation, identical response-cache accounting. These tests run the
-same batches through both configurations and compare the encoded
-bodies, the way a client on the wire would see them.
+Classify batches run through the vectorized :mod:`repro.core.batch`
+kernel; single requests run the scalar classifier. The kernel must be
+unobservable from outside: every ``results[i]`` is byte-identical to
+the body that a single ``POST /v1/classify`` of that item returns from
+a fresh app (error bodies included), and the response cache ends with
+the same accounting as after sending the items one by one.
 """
 
 import json
@@ -33,85 +34,80 @@ def batch_body(items):
     return json.dumps({"items": items}).encode()
 
 
-def both_apps(**config):
-    """A (kernel-on, kernel-off) ServiceApp pair with shared settings."""
-    on = ServiceApp(ServerConfig(port=0, batch_kernel=True, **config))
-    off = ServiceApp(ServerConfig(port=0, batch_kernel=False, **config))
-    return on, off
+def one_by_one(items, *, path="/v1/classify", rounds=1, **config):
+    """The oracle: each item POSTed alone to a fresh app.
+
+    Returns the encoded bodies of the last round and the response-cache
+    stats after every round.
+    """
+    oracle = ServiceApp(ServerConfig(port=0, **config))
+    try:
+        for _ in range(rounds):
+            bodies = [
+                stable_json(
+                    oracle.dispatch("POST", path, json.dumps(item).encode()).payload
+                )
+                for item in items
+            ]
+        return bodies, oracle.response_cache.stats()
+    finally:
+        oracle.shutdown()
 
 
-def dispatch_bytes(app, items):
-    response = app.dispatch("POST", "/v1/classify", batch_body(items))
-    return response.status, stable_json(response.payload)
+def assert_matches_oracle(items, *, path="/v1/classify", rounds=1, **config):
+    """Send ``items`` as one batch (``rounds`` times) and check the oracle."""
+    app = ServiceApp(ServerConfig(port=0, **config))
+    try:
+        for _ in range(rounds):
+            response = app.dispatch("POST", path, batch_body(items))
+        stats = app.response_cache.stats()
+    finally:
+        app.shutdown()
+    bodies, oracle_stats = one_by_one(items, path=path, rounds=rounds, **config)
+    assert response.status == 200
+    assert [stable_json(result) for result in response.payload["results"]] == bodies
+    assert stats == oracle_stats
+    return response.payload
 
 
 @pytest.mark.parametrize("cache_size", [1024, 0])
 def test_mixed_batch_bytes_identical(cache_size):
-    on, off = both_apps(cache_size=cache_size)
-    try:
-        assert dispatch_bytes(on, MIXED_BATCH) == dispatch_bytes(off, MIXED_BATCH)
-    finally:
-        on.shutdown()
-        off.shutdown()
+    payload = assert_matches_oracle(MIXED_BATCH, cache_size=cache_size)
+    assert payload["count"] == len(MIXED_BATCH)
+    assert payload["errors"] == 2
 
 
 def test_error_isolation_matches():
-    on, off = both_apps()
-    try:
-        status_on, body_on = dispatch_bytes(on, [BAD, GOOD, BAD])
-        status_off, body_off = dispatch_bytes(off, [BAD, GOOD, BAD])
-        assert (status_on, body_on) == (status_off, body_off)
-        payload = json.loads(body_on)
-        assert payload["errors"] == 2
-        assert payload["results"][1]["class"]["short_name"] == "IAP-IV"
-    finally:
-        on.shutdown()
-        off.shutdown()
+    payload = assert_matches_oracle([BAD, GOOD, BAD])
+    assert payload["errors"] == 2
+    assert payload["results"][0]["error"]["status"] == 400
+    assert payload["results"][1]["class"]["short_name"] == "IAP-IV"
 
 
 def test_cache_accounting_matches_scalar_path():
-    on, off = both_apps()
-    try:
-        items = [GOOD, GOOD, CONCRETE]
-        assert dispatch_bytes(on, items) == dispatch_bytes(off, items)
-        assert on.response_cache.stats() == off.response_cache.stats()
-    finally:
-        on.shutdown()
-        off.shutdown()
+    # The duplicate GOOD defers its cache probe until the first copy's
+    # payload is stored, so it counts as a hit, as it would one by one.
+    assert_matches_oracle([GOOD, GOOD, CONCRETE])
+    _, stats = one_by_one([GOOD, GOOD, CONCRETE])
+    assert (stats["hits"], stats["misses"]) == (1, 2)
 
 
 def test_repeat_batch_served_from_cache():
-    on, off = both_apps()
-    try:
-        first_on = dispatch_bytes(on, [GOOD, CONCRETE])
-        second_on = dispatch_bytes(on, [GOOD, CONCRETE])
-        dispatch_bytes(off, [GOOD, CONCRETE])
-        second_off = dispatch_bytes(off, [GOOD, CONCRETE])
-        assert first_on == second_on == second_off
-        assert on.response_cache.stats() == off.response_cache.stats()
-    finally:
-        on.shutdown()
-        off.shutdown()
+    assert_matches_oracle([GOOD, CONCRETE], rounds=2)
 
 
 def test_batch_matches_single_requests_with_kernel():
-    on, _ = both_apps(cache_size=0)
+    app = ServiceApp(ServerConfig(port=0, cache_size=0))
     try:
         query = "&".join(f"{k}={v}" for k, v in GOOD.items())
-        single = on.dispatch("GET", "/v1/classify?" + query)
-        batch = on.dispatch("POST", "/v1/classify", batch_body([GOOD]))
+        single = app.dispatch("GET", "/v1/classify?" + query)
+        batch = app.dispatch("POST", "/v1/classify", batch_body([GOOD]))
         assert stable_json(batch.payload["results"][0]) == stable_json(single.payload)
     finally:
-        on.shutdown()
+        app.shutdown()
 
 
-def test_costs_batches_are_untouched_by_the_flag():
-    on, off = both_apps()
-    try:
-        items = [{"class": "IAP-IV", "n": n} for n in (4, 16)]
-        response_on = on.dispatch("POST", "/v1/costs", batch_body(items))
-        response_off = off.dispatch("POST", "/v1/costs", batch_body(items))
-        assert stable_json(response_on.payload) == stable_json(response_off.payload)
-    finally:
-        on.shutdown()
-        off.shutdown()
+def test_costs_batches_match_the_same_oracle():
+    items = [{"class": "IAP-IV", "n": n} for n in (4, 16, 4)]
+    payload = assert_matches_oracle(items, path="/v1/costs")
+    assert payload["errors"] == 0
