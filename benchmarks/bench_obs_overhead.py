@@ -46,7 +46,7 @@ def _reference_pass():
 
 
 def _instrumented_pass():
-    return tuple(sweep(_work, range(POINTS), executor="serial"))
+    return tuple(sweep(_work, range(POINTS)))
 
 
 def _median_time(fn, repeats=REPEATS):

@@ -1,13 +1,12 @@
-"""Benchmark `sweep-engine`: serial vs parallel sweeps, cache, dispatch.
+"""Benchmark `sweep-engine`: serial vs pooled sweeps and the model cache.
 
-Measures the three perf claims of the sweep substrate and emits the
+Measures the two perf claims of the sweep substrate and emits the
 machine-readable ``benchmarks/BENCH_sweeps.json`` trajectory artifact so
 successive PRs can see the curve:
 
-* a process-executor resilience sweep beats the serial loop on
-  multi-core hardware (and never changes the results);
-* the model-evaluation cache turns repeat sweeps into lookups;
-* NumPy lane dispatch beats the per-lane interpreter on wide arrays.
+* a process-pool resilience sweep beats the serial loop on multi-core
+  hardware (and never changes the results);
+* the model-evaluation cache turns repeat sweeps into lookups.
 """
 
 import json
@@ -17,8 +16,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.analysis.resilience import resilience_sweep
-from repro.machine.array_processor import ArrayProcessor, ArraySubtype
-from repro.machine.kernels import simd_vector_add
 from repro.perf import ModelCache, sweep
 
 #: A fault-rate ladder heavy enough that per-point compute dominates the
@@ -61,7 +58,7 @@ def test_sweep_engine_overhead(benchmark):
     """Serial engine dispatch vs a bare loop: overhead must stay small."""
 
     def engine_pass():
-        return tuple(sweep(_int_square, range(500), executor="serial"))
+        return tuple(sweep(_int_square, range(500)))
 
     values = benchmark(engine_pass)
     assert values == tuple(x * x for x in range(500))
@@ -98,25 +95,6 @@ def evaluate_survey_with_cache(cache):
     ]
 
 
-def test_vectorized_lane_dispatch(benchmark):
-    def build():
-        machine = ArrayProcessor(128, ArraySubtype.IAP_IV)
-        machine.scatter(0, list(range(128 * 8)))
-        machine.scatter(64, list(range(128 * 8)))
-        return machine
-
-    program = simd_vector_add(8)
-    expected = build().run(program, vectorize=False).outputs
-
-    def vectorized_run():
-        return build().run(program, vectorize=True)
-
-    result = benchmark(vectorized_run)
-    assert result.outputs == expected
-    _RESULTS["vector_s"] = _measure(lambda: build().run(program, vectorize=True))
-    _RESULTS["interp_s"] = _measure(lambda: build().run(program, vectorize=False))
-
-
 def test_emit_trajectory_artifact():
     """Append this run to the BENCH_sweeps.json perf trajectory."""
     record = {
@@ -130,10 +108,6 @@ def test_emit_trajectory_artifact():
     parallel = record.get("parallel_s")
     if serial and parallel:
         record["sweep_speedup"] = round(serial / parallel, 3)
-    interp = record.get("interp_s")
-    vector = record.get("vector_s")
-    if interp and vector:
-        record["vector_speedup"] = round(interp / vector, 3)
     if TRAJECTORY_PATH.exists():
         trajectory = json.loads(TRAJECTORY_PATH.read_text())
     else:

@@ -150,7 +150,6 @@ def explore(
     area_model: "AreaModel | None" = None,
     config_model: "ConfigBitsModel | None" = None,
     jobs: int = 1,
-    executor: str = "process",
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -172,7 +171,6 @@ def explore(
             area_model=area_model,
             config_model=config_model,
             jobs=jobs,
-            executor=executor,
             on_error=on_error,
             timeout_s=timeout_s,
             resume=resume,

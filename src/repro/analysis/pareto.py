@@ -89,7 +89,6 @@ def evaluate_classes(
     config_model: "ConfigBitsModel | None" = None,
     classes: "tuple[TaxonomyClass, ...] | None" = None,
     jobs: int = 1,
-    executor: str = "process",
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -97,7 +96,7 @@ def evaluate_classes(
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
 
-    ``jobs``/``executor`` fan the per-class model evaluation out through
+    ``jobs`` fans the per-class model evaluation out through
     :func:`repro.perf.sweep`; results are identical (and identically
     ordered) for any job count. Custom models get a private cache so the
     shared one never mixes parameter sets. ``on_error``/``timeout_s``
@@ -113,31 +112,21 @@ def evaluate_classes(
     chosen = classes if classes is not None else implementable_classes()
     implementable = [cls for cls in chosen if cls.implementable]
     worker = functools.partial(_design_point, n=n, cache=cache)
-    checkpoint = None
-    if resume:
-        spec = {
-            "n": n,
-            "classes": [cls.serial for cls in implementable],
-            "models": [repr(area_model), repr(config_model)],
-        }
-        from repro.perf.journal import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint.open("classes", spec, directory=checkpoint_dir)
-    chosen_executor = "serial" if jobs == 1 else executor
-    try:
-        with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n, jobs=jobs):
-            result = sweep(
-                worker,
-                implementable,
-                executor=chosen_executor,
-                jobs=jobs,
-                on_error=on_error,
-                timeout_s=timeout_s,
-                checkpoint=checkpoint,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    spec = {
+        "n": n,
+        "classes": [cls.serial for cls in implementable],
+        "models": [repr(area_model), repr(config_model)],
+    }
+    with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n, jobs=jobs):
+        result = sweep(
+            worker,
+            implementable,
+            jobs=jobs,
+            on_error=on_error,
+            timeout_s=timeout_s,
+            journal=("classes", spec) if resume else None,
+            checkpoint_dir=checkpoint_dir,
+        )
     return [point for point in result if point is not None]
 
 

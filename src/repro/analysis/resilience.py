@@ -179,7 +179,6 @@ def resilience_sweep(
     spares: int = 0,
     entries: "tuple[SurveyEntry, ...] | None" = None,
     jobs: int = 1,
-    executor: str = "process",
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -187,7 +186,7 @@ def resilience_sweep(
 ) -> list[ResiliencePoint]:
     """Degradation curves for the whole survey, best-sustained first.
 
-    ``jobs``/``executor`` run the per-architecture evaluation through
+    ``jobs`` runs the per-architecture evaluation through
     :func:`repro.perf.sweep`; because the engine preserves input order
     and the final sort is total, any job count yields the same list.
     ``on_error``/``timeout_s`` set the engine's per-point failure policy
@@ -201,39 +200,29 @@ def resilience_sweep(
     worker = functools.partial(
         _resilience_point, rates=tuple(rates), n=n, spares=spares
     )
-    checkpoint = None
-    if resume:
-        spec = {
-            "rates": [float(rate) for rate in rates],
-            "n": n,
-            "spares": spares,
-            "entries": [entry.name for entry in rows],
-        }
-        from repro.perf.journal import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint.open("resilience", spec, directory=checkpoint_dir)
-    chosen_executor = "serial" if jobs == 1 else executor
-    try:
-        with _trace.span(
-            "analysis.resilience_sweep",
-            architectures=len(rows),
-            rates=len(rates),
-            n=n,
-            spares=spares,
+    spec = {
+        "rates": [float(rate) for rate in rates],
+        "n": n,
+        "spares": spares,
+        "entries": [entry.name for entry in rows],
+    }
+    with _trace.span(
+        "analysis.resilience_sweep",
+        architectures=len(rows),
+        rates=len(rates),
+        n=n,
+        spares=spares,
+        jobs=jobs,
+    ):
+        result = sweep(
+            worker,
+            rows,
             jobs=jobs,
-        ):
-            result = sweep(
-                worker,
-                rows,
-                executor=chosen_executor,
-                jobs=jobs,
-                on_error=on_error,
-                timeout_s=timeout_s,
-                checkpoint=checkpoint,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+            on_error=on_error,
+            timeout_s=timeout_s,
+            journal=("resilience", spec) if resume else None,
+            checkpoint_dir=checkpoint_dir,
+        )
     points = [point for point in result if point is not None]
     points.sort(key=lambda p: (-p.mean_throughput, p.name))
     return points

@@ -93,7 +93,6 @@ def evaluate_survey(
     energy_model: "EnergyModel | None" = None,
     reconfig_model: "ReconfigurationModel | None" = None,
     jobs: int = 1,
-    executor: str = "process",
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -103,8 +102,8 @@ def evaluate_survey(
 
     Evaluations go through the :mod:`repro.perf` model cache — two
     architectures sharing a signature and size are priced once — and
-    ``jobs``/``executor`` fan the records out through the sweep engine
-    with order-preserving results. ``on_error``/``timeout_s`` set the
+    ``jobs`` fans the records out through the sweep engine with
+    order-preserving results. ``on_error``/``timeout_s`` set the
     engine's failure policy (failed points are dropped from the result),
     and ``resume=True`` journals completed records for restartability.
     """
@@ -121,33 +120,23 @@ def evaluate_survey(
         )
     )
     worker = functools.partial(cost_point, default_n=default_n, cache=cache)
-    chosen_executor = "serial" if jobs == 1 else executor
-    checkpoint = None
-    if resume:
-        spec = {
-            "default_n": default_n,
-            "records": [record.name for record in records],
-            "models": [repr(model) for model in custom],
-        }
-        from repro.perf.journal import SweepCheckpoint
-
-        checkpoint = SweepCheckpoint.open("costs", spec, directory=checkpoint_dir)
-    try:
-        with _trace.span(
-            "analysis.survey_costs", architectures=len(records), default_n=default_n, jobs=jobs
-        ):
-            result = sweep(
-                worker,
-                records,
-                executor=chosen_executor,
-                jobs=jobs,
-                on_error=on_error,
-                timeout_s=timeout_s,
-                checkpoint=checkpoint,
-            )
-    finally:
-        if checkpoint is not None:
-            checkpoint.close()
+    spec = {
+        "default_n": default_n,
+        "records": [record.name for record in records],
+        "models": [repr(model) for model in custom],
+    }
+    with _trace.span(
+        "analysis.survey_costs", architectures=len(records), default_n=default_n, jobs=jobs
+    ):
+        result = sweep(
+            worker,
+            records,
+            jobs=jobs,
+            on_error=on_error,
+            timeout_s=timeout_s,
+            journal=("costs", spec) if resume else None,
+            checkpoint_dir=checkpoint_dir,
+        )
     return [point for point in result if point is not None]
 
 

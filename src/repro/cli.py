@@ -24,6 +24,7 @@ import argparse
 import sys
 
 from repro.core.errors import FaultError, ReproError
+from repro.serve.flags import add_serve_arguments, server_config
 
 __all__ = ["main", "build_parser"]
 
@@ -171,96 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the hardened HTTP query service (classify/costs/survey/metrics)",
     )
-    serve_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve_parser.add_argument(
-        "--port", type=int, default=8080,
-        help="bind port; 0 picks an ephemeral port (default 8080)",
-    )
-    serve_parser.add_argument(
-        "--workers", type=int, default=4,
-        help="worker threads executing taxonomy work (default 4)",
-    )
-    serve_parser.add_argument(
-        "--processes", type=int, default=1,
-        help="pre-fork worker processes sharing the port via SO_REUSEPORT "
-        "(default 1 = single process)",
-    )
-    serve_parser.add_argument(
-        "--queue-depth", type=int, default=16,
-        help="requests allowed to wait for a worker before 503s (default 16)",
-    )
-    serve_parser.add_argument(
-        "--keepalive-requests", type=int, default=100,
-        help="requests served per keep-alive connection before it closes "
-        "(default 100; 0 disables keep-alive)",
-    )
-    serve_parser.add_argument(
-        "--keepalive-idle", type=float, default=5.0, metavar="S",
-        help="idle seconds before a keep-alive connection is closed (default 5)",
-    )
-    serve_parser.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="response-cache entries over /v1/classify and /v1/costs "
-        "(default 1024; 0 disables caching)",
-    )
-    serve_parser.add_argument(
-        "--deadline", type=float, default=2.0, metavar="S",
-        help="per-request deadline in seconds (default 2.0)",
-    )
-    serve_parser.add_argument(
-        "--rate", type=float, default=0.0,
-        help="token-bucket rate limit in requests/s (default 0 = off)",
-    )
-    serve_parser.add_argument(
-        "--burst", type=int, default=None,
-        help="token-bucket burst capacity (default max(1, rate))",
-    )
-    serve_parser.add_argument(
-        "--drain-deadline", type=float, default=5.0, metavar="S",
-        help="seconds granted to in-flight requests on SIGTERM/SIGINT (default 5)",
-    )
-    serve_parser.add_argument(
-        "--breaker-failures", type=int, default=5,
-        help="consecutive failures that open the circuit breaker (default 5)",
-    )
-    serve_parser.add_argument(
-        "--breaker-recovery", type=float, default=1.0, metavar="S",
-        help="base breaker recovery interval in seconds (default 1.0)",
-    )
-    serve_parser.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="inject a seeded chaos FaultPlan into sweep-backed handlers",
-    )
-    serve_parser.add_argument(
-        "--fault-rate", type=float, default=0.1,
-        help="per-resource fault rate for --fault-seed (default 0.1)",
-    )
-    serve_parser.add_argument(
-        "--log-requests", action="store_true",
-        help="emit one access-log line per request to stderr",
-    )
-    serve_parser.add_argument(
-        "--jobs-dir", default=None, metavar="DIR",
-        help="enable the durable /v1/jobs subsystem, persisting job "
-        "journals, checkpoints and result artifacts under DIR "
-        "(default: disabled)",
-    )
-    serve_parser.add_argument(
-        "--job-runners", type=int, default=2,
-        help="async job-runner threads per process (default 2)",
-    )
-    serve_parser.add_argument(
-        "--job-ttl", type=float, default=3600.0, metavar="S",
-        help="seconds a finished job (and its result artifact) is kept "
-        "before TTL garbage collection (default 3600)",
-    )
-    serve_parser.add_argument(
-        "--job-poll", type=float, default=0.25, metavar="S",
-        help="job-runner scan interval: queue polls, orphan adoption and "
-        "GC all run on this cadence (default 0.25)",
-    )
+    add_serve_arguments(serve_parser, default_port=8080)
 
     jobs_parser = sub.add_parser(
         "jobs",
@@ -499,45 +411,11 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     Blocks until SIGTERM/SIGINT, then drains in-flight requests within
     ``--drain-deadline`` seconds and exits 0 on a clean drain (1 if the
-    deadline expired with work still in flight). ``--fault-seed`` arms a
-    deterministic chaos plan against the sweep-backed handlers so the
-    circuit breaker and ``/v1/readyz`` behaviour can be demonstrated
-    without real failures.
+    deadline expired with work still in flight).
     """
-    from repro.serve import BreakerPolicy, ServerConfig, run_server
+    from repro.serve.server import run_server
 
-    fault_plan = None
-    if args.fault_seed is not None:
-        from repro.faults.plan import FaultPlan
-
-        fault_plan = FaultPlan.random(
-            args.fault_seed, args.fault_rate, n_pes=64, horizon=64
-        )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        processes=args.processes,
-        queue_depth=args.queue_depth,
-        deadline_s=args.deadline,
-        rate=args.rate,
-        burst=args.burst,
-        drain_s=args.drain_deadline,
-        breaker=BreakerPolicy(
-            failure_threshold=args.breaker_failures,
-            recovery_s=args.breaker_recovery,
-        ),
-        fault_plan=fault_plan,
-        log_requests=args.log_requests,
-        keepalive_requests=args.keepalive_requests,
-        keepalive_idle_s=args.keepalive_idle,
-        cache_size=args.cache_size,
-        jobs_dir=args.jobs_dir,
-        job_runners=args.job_runners,
-        job_ttl_s=args.job_ttl,
-        job_poll_s=args.job_poll,
-    )
-    return run_server(config)
+    return run_server(server_config(args))
 
 
 def _jobs_http(url: str, *, method: str = "GET", payload: "dict | None" = None) -> bytes:

@@ -20,42 +20,13 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from repro.core.errors import CapabilityError, ProgramError
 from repro.faults import FaultInjector, FaultPlan, FaultPolicy, FaultRuntime
 from repro.machine.base import Capability, ExecutionResult, check_capabilities, traced_run
 from repro.machine.program import Instruction, Opcode, Program, required_capabilities
 from repro.machine.scalar import ExtensionPort, ScalarCore
 
-__all__ = ["ArraySubtype", "ArrayProcessor", "vectorizable"]
-
-#: Opcodes the NumPy lane-dispatch path implements. The port-mediated
-#: extensions (GLD/GST and the message group) keep the interpreted path:
-#: their semantics live in the owning machine, not in lane-local state.
-_VECTOR_OPS = frozenset(
-    {
-        Opcode.NOP, Opcode.HALT, Opcode.LDI, Opcode.MOV, Opcode.LD, Opcode.ST,
-        Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.AND, Opcode.OR,
-        Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.ADDI, Opcode.SLT,
-        Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.JMP,
-        Opcode.LANEID, Opcode.SHUF,
-    }
-)
-
-#: Below this width the per-instruction ndarray overhead beats the win.
-_VECTOR_MIN_LANES = 8
-
-#: int(a < b) as a NumPy ufunc over Python objects (exact int semantics).
-_SLT_UFUNC = np.frompyfunc(lambda a, b: int(a < b), 2, 1)
-#: int(a / b) — the scalar core's truncating division, bit for bit.
-_DIV_UFUNC = np.frompyfunc(lambda a, b: int(a / b), 2, 1)
-
-
-def vectorizable(program: Program) -> bool:
-    """Whether every opcode of ``program`` has a NumPy lane-dispatch form."""
-    return all(instruction.op in _VECTOR_OPS for instruction in program)
-
+__all__ = ["ArraySubtype", "ArrayProcessor"]
 
 class ArraySubtype(enum.Enum):
     """IAP sub-types with their switch complement."""
@@ -201,7 +172,6 @@ class ArrayProcessor:
         max_cycles: int = 1_000_000,
         faults: "FaultPlan | FaultInjector | None" = None,
         policy: "FaultPolicy | None" = None,
-        vectorize: "bool | None" = None,
     ) -> ExecutionResult:
         """Broadcast-execute to HALT.
 
@@ -215,45 +185,12 @@ class ArrayProcessor:
         can be rehosted only if its state is reachable through an ``x``
         cell; IAP-I's all-direct wiring cannot remap (spare lanes still
         can step in, being full replicas).
-
-        ``vectorize`` selects the lane-dispatch strategy. ``None``
-        (default) picks the NumPy path automatically when the run is
-        fault-free, every opcode is vectorizable and the array is wide
-        enough to profit; ``True`` forces it (``ValueError`` when the
-        program or a fault plan makes that impossible); ``False`` forces
-        the per-lane interpreter. Both paths produce identical results —
-        NumPy dispatches each instruction across all lanes at once but
-        the values remain Python integers, so there is no overflow or
-        rounding divergence.
         """
         check_capabilities(
             self.capabilities(),
             required_capabilities(program),
             machine=self.subtype.label,
         )
-        if vectorize is None:
-            vectorize = (
-                faults is None
-                and self.n_lanes >= _VECTOR_MIN_LANES
-                and vectorizable(program)
-            )
-        elif vectorize:
-            if faults is not None:
-                raise ValueError("vectorized dispatch cannot inject faults")
-            if not vectorizable(program):
-                bad = sorted(
-                    {
-                        str(i.op)
-                        for i in program
-                        if i.op not in _VECTOR_OPS
-                    }
-                )
-                raise ValueError(
-                    f"program {program.name!r} uses non-vectorizable "
-                    f"opcodes: {', '.join(bad)}"
-                )
-        if vectorize:
-            return self._run_vectorized(program, max_cycles=max_cycles)
         runtime = FaultRuntime.create(
             faults,
             policy,
@@ -333,158 +270,4 @@ class ArrayProcessor:
                 "registers": [list(lane.registers) for lane in self.lanes],
             },
             stats=stats,
-        )
-
-    def _run_vectorized(
-        self, program: Program, *, max_cycles: int
-    ) -> ExecutionResult:
-        """NumPy lane dispatch: one array op per instruction, not per lane.
-
-        State lives in object-dtype ndarrays (``R``: L×16 registers,
-        ``M``: L×bank memories) whose elements stay Python integers —
-        arbitrary precision, exactly the interpreter's arithmetic — while
-        instruction decode and dispatch happen once per cycle instead of
-        once per lane. Error messages and mutation order match the
-        interpreted path; lane state is written back even when a program
-        error aborts the run mid-flight.
-        """
-        n_lanes = self.n_lanes
-        bank = self.bank_size
-        lane_index = np.arange(n_lanes)
-        lane_ids = np.array([int(i) for i in range(n_lanes)], dtype=object)
-        R = np.array([lane.registers for lane in self.lanes], dtype=object)
-        touches_memory = any(
-            instruction.op in (Opcode.LD, Opcode.ST) for instruction in program
-        )
-        M = (
-            np.array([lane.memory for lane in self.lanes], dtype=object)
-            if touches_memory
-            else None
-        )
-        pc = 0
-        cycles = 0
-        operations = 0
-        body_pc: "int | None" = None
-
-        def first_true(mask: np.ndarray) -> int:
-            return int(np.argmax(mask.astype(bool)))
-
-        def checked_addresses(rs1: int, imm: int) -> np.ndarray:
-            addresses = R[:, rs1] + imm
-            invalid = (addresses < 0) | (addresses >= bank)
-            if invalid.astype(bool).any():
-                lane = first_true(invalid)
-                raise ProgramError(
-                    f"core {lane}: memory address {addresses[lane]} out of "
-                    f"range 0..{bank - 1}"
-                )
-            return addresses.astype(np.intp)
-
-        try:
-            while True:
-                if pc >= len(program):
-                    raise ProgramError(
-                        f"array PC {pc} ran past the end of {program.name!r}"
-                    )
-                cycles += 1
-                if cycles > max_cycles:
-                    raise ProgramError(
-                        f"{self.subtype.label}: exceeded {max_cycles} cycles"
-                    )
-                instruction = program[pc]
-                op = instruction.op
-                rd, rs1, rs2 = instruction.rd, instruction.rs1, instruction.rs2
-                imm = instruction.imm
-                if instruction.is_branch:
-                    if op is Opcode.BEQ:
-                        truth = (R[:, rs1] == R[:, rs2]).astype(bool)
-                    elif op is Opcode.BNE:
-                        truth = (R[:, rs1] != R[:, rs2]).astype(bool)
-                    elif op is Opcode.BLT:
-                        truth = (R[:, rs1] < R[:, rs2]).astype(bool)
-                    else:  # JMP
-                        truth = np.ones(n_lanes, dtype=bool)
-                    taken = bool(truth[0])
-                    if not (truth == taken).all():
-                        raise ProgramError(
-                            f"divergent branch at pc={pc} ({instruction}): a "
-                            "single-IP array processor has one program counter"
-                        )
-                    pc = imm if taken else pc + 1
-                    operations += n_lanes
-                    continue
-                if op is Opcode.HALT:
-                    operations += n_lanes
-                    break
-                if op is Opcode.NOP:
-                    pass
-                elif op is Opcode.LDI:
-                    R[:, rd] = imm
-                elif op is Opcode.MOV:
-                    R[:, rd] = R[:, rs1]
-                elif op is Opcode.LD:
-                    assert M is not None
-                    R[:, rd] = M[lane_index, checked_addresses(rs1, imm)]
-                elif op is Opcode.ST:
-                    assert M is not None
-                    M[lane_index, checked_addresses(rs1, imm)] = R[:, rs2]
-                elif op is Opcode.ADD:
-                    R[:, rd] = R[:, rs1] + R[:, rs2]
-                elif op is Opcode.SUB:
-                    R[:, rd] = R[:, rs1] - R[:, rs2]
-                elif op is Opcode.MUL:
-                    R[:, rd] = R[:, rs1] * R[:, rs2]
-                elif op is Opcode.DIV:
-                    divisors = R[:, rs2]
-                    zero = divisors == 0
-                    if zero.astype(bool).any():
-                        raise ProgramError(
-                            f"core {first_true(zero)}: division by zero"
-                        )
-                    R[:, rd] = _DIV_UFUNC(R[:, rs1], divisors)
-                elif op is Opcode.AND:
-                    R[:, rd] = R[:, rs1] & R[:, rs2]
-                elif op is Opcode.OR:
-                    R[:, rd] = R[:, rs1] | R[:, rs2]
-                elif op is Opcode.XOR:
-                    R[:, rd] = R[:, rs1] ^ R[:, rs2]
-                elif op is Opcode.SHL:
-                    R[:, rd] = R[:, rs1] << imm
-                elif op is Opcode.SHR:
-                    R[:, rd] = R[:, rs1] >> imm
-                elif op is Opcode.ADDI:
-                    R[:, rd] = R[:, rs1] + imm
-                elif op is Opcode.SLT:
-                    R[:, rd] = _SLT_UFUNC(R[:, rs1], R[:, rs2])
-                elif op is Opcode.LANEID:
-                    R[:, rd] = lane_ids
-                elif op is Opcode.SHUF:
-                    # Fancy indexing materialises the exchanged values
-                    # before the assignment lands: the simultaneous
-                    # pre-instruction snapshot of the interpreted path.
-                    sources = (R[:, rs2] % n_lanes).astype(np.intp)
-                    R[:, rd] = R[sources, rs1]
-                else:  # pragma: no cover - vectorizable() guards this
-                    raise ProgramError(f"unimplemented vector opcode {op}")
-                operations += n_lanes
-                body_pc = pc + 1
-                pc += 1
-        finally:
-            for i, lane in enumerate(self.lanes):
-                lane.registers = list(R[i])
-                if M is not None:
-                    lane.memory = list(M[i])
-                if body_pc is not None:
-                    lane.pc = body_pc
-        return ExecutionResult(
-            cycles=cycles,
-            operations=operations,
-            outputs={
-                "registers": [list(lane.registers) for lane in self.lanes],
-            },
-            stats={
-                "machine": self.subtype.label,
-                "n_lanes": self.n_lanes,
-                "program": program.name,
-            },
         )

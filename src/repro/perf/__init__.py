@@ -5,13 +5,15 @@ evaluated over a grid of points (25 survey records, 47 taxonomy classes,
 fault-rate ladders, design sizes). :mod:`repro.perf` gives those sweeps
 a shared engine:
 
-* :func:`sweep` — map a function over points with a serial, thread or
-  process executor, deterministic result ordering, per-point timing,
-  failure policies (``on_error``/:class:`RetryPolicy`/``timeout_s``),
-  worker-crash isolation and checkpoint/resume;
+* :func:`sweep` — map a function over points, serially (``jobs=1``)
+  or on a process pool (``jobs`` > 1), with deterministic result
+  ordering, per-point timing, failure policies (``on_error``/
+  ``timeout_s``), worker-crash isolation and checkpoint/resume
+  (``journal=(name, spec)``);
 * :class:`SweepCheckpoint` — the append-only journal behind the CLI's
   ``--resume`` flag and of ``/v1/jobs``, keyed by a content hash of
-  the sweep spec;
+  the sweep spec; its record codec and ``flock`` primitive also back
+  the ``/v1/jobs`` event journals;
 * :class:`ModelCache` / :func:`evaluate_models` — an LRU-memoised cache
   over the Eq.-1 area, Eq.-2 configuration-bit, energy and
   reconfiguration models, keyed on ``(class_id, n, technology)``.
@@ -33,7 +35,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "engine": (
-            "EXECUTORS",
             "ON_ERROR_POLICIES",
             "POINT_STATUSES",
             "PointResult",

@@ -1,12 +1,15 @@
-"""The parallel sweep engine.
+"""The sweep engine.
 
-A *sweep* evaluates one pure function over a grid of points. The engine
-owns the concerns every sweep in this package shares:
+A *sweep* evaluates one pure function over a grid of points, through
+one call shape::
 
-* **executor choice** — ``serial`` (plain loop, zero overhead),
-  ``thread`` (useful when the point function releases the GIL, e.g.
-  NumPy kernels) or ``process`` (true parallelism for pure-Python point
-  functions — the common case here);
+    sweep(fn, points, *, jobs=1, on_error="raise", timeout_s=None, journal=None)
+
+The engine owns the concerns every sweep in this package shares:
+
+* **path choice** — ``jobs`` alone picks it: a resolved worker count of
+  1 runs a plain loop in the calling process (zero overhead, no pool
+  imported), anything larger runs a process pool;
 * **deterministic ordering** — results come back in input order no
   matter which worker finished first, so parallel artifacts are
   byte-identical to serial ones;
@@ -25,31 +28,26 @@ owns the concerns every sweep in this package shares:
   under ``skip``/``retry``);
 * **worker-crash isolation** — a process worker killed mid-chunk
   (``BrokenProcessPool``) no longer aborts the sweep: the surviving
-  points are requeued on a rebuilt pool, up to ``max_respawns`` times,
-  after which the engine degrades to a serial last resort;
-* **checkpoint/resume** — pass a
-  :class:`repro.perf.journal.SweepCheckpoint` and every completed point
-  is journalled as it finishes; a re-run over the same spec restores
-  those points (status ``"skipped"``) without recomputing them.
+  points are requeued on a rebuilt pool, up to :data:`MAX_RESPAWNS`
+  times, after which the engine degrades to a serial last resort;
+* **checkpoint/resume** — pass ``journal=(name, spec)`` and the engine
+  opens that :class:`repro.perf.journal.SweepCheckpoint`, journals every
+  completed point as it finishes and closes it again; a re-run over the
+  same spec restores those points (status ``"skipped"``) without
+  recomputing them.
 
-Point functions used with the ``process`` executor must be picklable:
-module-level functions, or :func:`functools.partial` over one.
+Point functions swept with ``jobs`` > 1 must be picklable: module-level
+functions, or :func:`functools.partial` over one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import signal
 import threading
 import time
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -57,7 +55,6 @@ from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 __all__ = [
-    "EXECUTORS",
     "ON_ERROR_POLICIES",
     "POINT_STATUSES",
     "PointResult",
@@ -67,9 +64,6 @@ __all__ = [
     "resolve_jobs",
     "sweep",
 ]
-
-#: Recognised executor names.
-EXECUTORS: tuple[str, ...] = ("serial", "thread", "process")
 
 #: Recognised ``on_error`` policies.
 ON_ERROR_POLICIES: tuple[str, ...] = ("raise", "skip", "retry")
@@ -159,6 +153,17 @@ class RetryPolicy:
         return tuple(self.delay_s(index, attempt) for attempt in range(1, self.max_retries + 1))
 
 
+#: Points per process-pool task. One keeps a worker crash from taking
+#: any point but its own down with it.
+CHUNKSIZE = 1
+
+#: The backoff schedule ``on_error="retry"`` follows.
+RETRY_POLICY = RetryPolicy()
+
+#: Times a crashed process pool is rebuilt before the serial last resort.
+MAX_RESPAWNS = 2
+
+
 @dataclass(frozen=True, slots=True)
 class _EvalSpec:
     """The per-point evaluation policy shipped to workers with each chunk."""
@@ -201,9 +206,7 @@ class SweepResult:
 
     values: tuple[Any, ...]
     timings: tuple[float, ...]
-    executor: str
     jobs: int
-    chunksize: int
     wall_s: float
     outcomes: "tuple[PointResult, ...]" = ()
     resumed: int = 0
@@ -264,9 +267,10 @@ def _call_with_deadline(fn: Callable[[Any], Any], point: Any, timeout_s: "float 
 
     In a process worker (or any POSIX main thread with no interval
     timer already armed) the deadline truly preempts pure-Python code
-    via ``SIGALRM``. Elsewhere — thread pools, nested timers — a
-    watchdog thread enforces it cooperatively: the sweep moves on, but
-    the abandoned attempt occupies its thread until it returns.
+    via ``SIGALRM``. Elsewhere — a sweep called off the main thread,
+    such as a job runner's, or under a nested timer — a watchdog thread
+    enforces it cooperatively: the sweep moves on, but the abandoned
+    attempt occupies its thread until it returns.
     """
     if timeout_s is None:
         return fn(point)
@@ -375,15 +379,9 @@ def _run_chunk_stamped(
 
     The start stamp uses :func:`time.monotonic` (CLOCK_MONOTONIC — one
     system-wide epoch on the platforms we support), so the parent can
-    subtract its submit stamp to get the executor queue wait.
+    subtract its submit stamp to get the pool queue wait.
     """
     return (time.monotonic(), _run_chunk(fn, chunk, spec))
-
-
-def _chunked(
-    items: "list[tuple[int, Any]]", chunksize: int
-) -> "list[list[tuple[int, Any]]]":
-    return [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
 
 
 def _record(checkpoint: Any, outcomes: "Iterable[PointResult]") -> None:
@@ -424,6 +422,18 @@ def _restore_from_checkpoint(
     return restored, remaining
 
 
+def _open_journal(
+    journal: "tuple[str, Any] | None", checkpoint_dir: "str | os.PathLike | None"
+) -> Any:
+    """The sweep's checkpoint as a context manager (``None`` without one)."""
+    if journal is None:
+        return contextlib.nullcontext()
+    from repro.perf.journal import SweepCheckpoint
+
+    name, spec = journal
+    return SweepCheckpoint.open(name, spec, directory=checkpoint_dir)
+
+
 # -- the public entry point ------------------------------------------------
 
 
@@ -431,92 +441,83 @@ def sweep(
     fn: Callable[[Any], Any],
     points: "Iterable[Any]",
     *,
-    executor: str = "serial",
-    jobs: "int | None" = None,
-    chunksize: int = 1,
+    jobs: "int | None" = 1,
     on_error: str = "raise",
-    retry: "RetryPolicy | None" = None,
     timeout_s: "float | None" = None,
-    checkpoint: Any = None,
-    max_respawns: int = 2,
+    journal: "tuple[str, Any] | None" = None,
+    checkpoint_dir: "str | os.PathLike | None" = None,
 ) -> SweepResult:
     """Evaluate ``fn`` over ``points``; results come back in input order.
 
-    ``executor='serial'`` (or a resolved worker count of 1) runs a plain
-    loop in the calling process — no pools, no pickling, bitwise the
-    behaviour the parallel paths must reproduce. ``chunksize`` batches
-    points per task to amortise scheduling and serialisation overhead
-    when points are cheap.
+    ``jobs`` (``None``/0 = all cores, capped at the points left to run)
+    picks the path: 1 runs a plain loop in the calling process — no
+    pool, no pickling, bitwise the behaviour the pool must reproduce —
+    and anything larger fans the points out over a process pool.
 
-    ``on_error``, ``retry`` and ``timeout_s`` set the per-point failure
-    policy (see the module docstring); ``checkpoint`` journals completed
-    points for ``--resume``; ``max_respawns`` bounds how many times a
-    crashed process pool is rebuilt before the engine degrades to its
-    serial last resort.
+    ``on_error`` and ``timeout_s`` set the per-point failure policy (see
+    the module docstring). ``journal=(name, spec)`` checkpoints the
+    sweep for ``--resume``: the engine opens that journal (under
+    ``checkpoint_dir``, default :func:`~repro.perf.journal.checkpoint_directory`),
+    restores the points it already holds, appends each fresh one and
+    closes it, however the sweep ends.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}: expected one of {', '.join(EXECUTORS)}"
-        )
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be >= 1, got {chunksize}")
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
             f"unknown on_error {on_error!r}: expected one of {', '.join(ON_ERROR_POLICIES)}"
         )
-    if retry is not None and on_error != "retry":
-        raise ValueError("a retry policy requires on_error='retry'")
     if timeout_s is not None and timeout_s <= 0.0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    if max_respawns < 0:
-        raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
+    max_jobs = resolve_jobs(jobs)
     spec = _EvalSpec(
         on_error=on_error,
-        retry=(retry or RetryPolicy()) if on_error == "retry" else None,
+        retry=RETRY_POLICY if on_error == "retry" else None,
         timeout_s=timeout_s,
     )
+    with _open_journal(journal, checkpoint_dir) as checkpoint:
+        return _sweep(fn, list(enumerate(points)), max_jobs, spec, checkpoint)
 
-    restored, indexed = _restore_from_checkpoint(checkpoint, list(enumerate(points)))
-    n_jobs = 1 if executor == "serial" else min(resolve_jobs(jobs), max(len(indexed), 1))
 
+def _sweep(
+    fn: Callable[[Any], Any],
+    indexed: "list[tuple[int, Any]]",
+    max_jobs: int,
+    spec: _EvalSpec,
+    checkpoint: Any,
+) -> SweepResult:
+    """Restore, run and account for one sweep (checkpoint already open)."""
+    restored, indexed = _restore_from_checkpoint(checkpoint, indexed)
+    n_jobs = min(max_jobs, max(len(indexed), 1))
     if not indexed and not restored:
-        return SweepResult((), (), executor, n_jobs, chunksize, 0.0)
+        return SweepResult((), (), n_jobs, 0.0)
     respawns = 0
     start = time.perf_counter()
     with _trace.span(
         "perf.sweep",
-        executor=executor,
         jobs=n_jobs,
         points=len(indexed) + len(restored),
-        chunksize=chunksize,
-        on_error=on_error,
+        on_error=spec.on_error,
     ) as sweep_span:
         if restored:
             sweep_span.add_event("resume", restored=len(restored), remaining=len(indexed))
         if not indexed:
             fresh: list[PointResult] = []
-        elif executor == "serial" or n_jobs == 1:
+        elif n_jobs == 1:
             fresh = _sweep_serial(fn, indexed, spec=spec, checkpoint=checkpoint)
         else:
             fresh, respawns = _sweep_pooled(
                 fn,
                 indexed,
-                executor=executor,
                 n_jobs=n_jobs,
-                chunksize=chunksize,
                 sweep_span=sweep_span,
                 spec=spec,
                 checkpoint=checkpoint,
-                max_respawns=max_respawns,
             )
         outcomes = sorted(restored + fresh, key=lambda r: r.index)
         wall = time.perf_counter() - start
         result = SweepResult(
             values=tuple(r.value for r in outcomes),
             timings=tuple(r.elapsed_s for r in outcomes),
-            executor=executor,
             jobs=n_jobs,
-            chunksize=chunksize,
             wall_s=wall,
             outcomes=tuple(outcomes),
             resumed=len(restored),
@@ -582,29 +583,25 @@ def _sweep_pooled(
     fn: Callable[[Any], Any],
     indexed: "list[tuple[int, Any]]",
     *,
-    executor: str,
     n_jobs: int,
-    chunksize: int,
     sweep_span: Any,
     spec: _EvalSpec,
     checkpoint: Any,
-    max_respawns: int,
 ) -> "tuple[list[PointResult], int]":
     """The pool path: chunked dispatch with worker-crash isolation.
 
-    Thread pools cannot break, so they run exactly one round. A process
-    pool that loses a worker (``BrokenProcessPool``) keeps every chunk
-    that already came back, rebuilds the pool and requeues the rest —
-    up to ``max_respawns`` times, after which the surviving points run
-    through :func:`_sweep_last_resort`.
+    A process pool that loses a worker (``BrokenProcessPool``) keeps
+    every chunk that already came back, rebuilds the pool and requeues
+    the rest — up to :data:`MAX_RESPAWNS` times, after which the
+    surviving points run through :func:`_sweep_last_resort`.
     """
-    pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
-    pending = list(enumerate(_chunked(indexed, chunksize)))
+    chunks = [indexed[i : i + CHUNKSIZE] for i in range(0, len(indexed), CHUNKSIZE)]
+    pending = list(enumerate(chunks))
     results: list[PointResult] = []
     respawns = 0
     while pending:
         completed, error, broken = _run_round(
-            pool_cls, n_jobs, fn, pending, spec, sweep_span, checkpoint
+            n_jobs, fn, pending, spec, sweep_span, checkpoint
         )
         for chunk_results in completed.values():
             results.extend(chunk_results)
@@ -615,7 +612,7 @@ def _sweep_pooled(
         pending = [(index, chunk) for index, chunk in pending if index not in completed]
         respawns += 1
         sweep_span.add_event("pool_respawn", respawn=respawns, chunks_left=len(pending))
-        if respawns > max_respawns:
+        if respawns > MAX_RESPAWNS:
             leftover = [pair for _, chunk in pending for pair in chunk]
             results.extend(
                 _sweep_last_resort(fn, leftover, spec, sweep_span, checkpoint)
@@ -626,7 +623,6 @@ def _sweep_pooled(
 
 
 def _run_round(
-    pool_cls: type,
     n_jobs: int,
     fn: Callable[[Any], Any],
     tasks: "list[tuple[int, list[tuple[int, Any]]]]",
@@ -641,10 +637,17 @@ def _run_round(
     ``on_error='raise'`` the lowest-indexed failing point's exception
     surfaces deterministically — exactly the historical contract.
     """
+    from concurrent.futures import (
+        FIRST_EXCEPTION,
+        BrokenExecutor,
+        ProcessPoolExecutor,
+        wait,
+    )
+
     completed: dict[int, list[PointResult]] = {}
     error: "BaseException | None" = None
     broken = False
-    pool = pool_cls(max_workers=n_jobs)
+    pool = ProcessPoolExecutor(max_workers=n_jobs)
     try:
         submitted: dict[int, float] = {}
         futures: dict[Any, int] = {}
@@ -702,6 +705,8 @@ def _sweep_last_resort(
     *identified* (status ``"crashed"``) instead of taking the sweep (or
     the parent) down with it.
     """
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     mode = "serial" if spec.on_error == "raise" else "isolate"
     sweep_span.add_event("last_resort", points=len(pairs), mode=mode)
     results: list[PointResult] = []

@@ -31,6 +31,12 @@ restored points are bit-identical to freshly computed ones — the
 property the byte-identical ``--resume`` artifact tests pin down. Treat
 journals like any local pickle: data you wrote, not data you downloaded.
 
+The record codec (:func:`dump_record` / :func:`load_record`: canonical
+JSON plus a CRC32 of the body) and the ``flock`` primitive
+(:class:`FileLock`) are shared with the job store in
+:mod:`repro.serve.jobs`, whose ``repro-job-journal/1`` event journals
+use the same line format.
+
 Single-writer discipline: opening a journal takes an advisory
 ``flock`` on a ``.lock`` sidecar, so two concurrent ``--resume`` runs
 over the same spec fail fast with :class:`~repro.core.errors.CheckpointError`
@@ -70,11 +76,14 @@ from repro.core.errors import CheckpointError
 __all__ = [
     "CHECKPOINT_DIR_ENV",
     "DEFAULT_CHECKPOINT_DIR",
+    "FileLock",
     "JOURNAL_FORMAT",
     "JournalEntry",
     "JournalLock",
     "SweepCheckpoint",
     "checkpoint_directory",
+    "dump_record",
+    "load_record",
     "spec_digest",
 ]
 
@@ -86,6 +95,7 @@ CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
 
 #: Where journals land when the environment does not say otherwise.
 DEFAULT_CHECKPOINT_DIR = "artifacts/checkpoints"
+
 
 def checkpoint_directory() -> Path:
     """The journal directory: ``$REPRO_CHECKPOINT_DIR`` or the default."""
@@ -100,17 +110,57 @@ def spec_digest(name: str, spec: Any) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class FileLock:
+    """An exclusive, non-blocking advisory ``flock`` on one file.
+
+    The lock follows the open file description, so two threads of one
+    process conflict exactly like two processes do, and the kernel frees
+    it when the holder dies — which is what lets a later run (or a
+    sibling job runner) take over from a crashed owner. Off POSIX there
+    is no ``fcntl`` and :meth:`acquire` always succeeds.
+    """
+
+    def __init__(self, path: "str | os.PathLike"):
+        self.path = Path(path)
+        #: The open handle while held; the lock lives as long as it does.
+        self.handle: Any = None
+
+    def acquire(self) -> bool:
+        """Take the lock; ``False`` means a live holder already has it."""
+        handle = open(self.path, "a+", encoding="utf-8")
+        if fcntl is not None:
+            try:
+                fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except OSError:
+                handle.close()
+                return False
+        self.handle = handle
+        return True
+
+    def release(self) -> None:
+        """Drop the lock and close the handle (idempotent)."""
+        if self.handle is None:
+            return
+        if fcntl is not None:
+            try:
+                fcntl.flock(self.handle.fileno(), fcntl.LOCK_UN)
+            except OSError:  # pragma: no cover - file removed underneath us
+                pass
+        self.handle.close()
+        self.handle = None
+
+
 class JournalLock:
     """Advisory single-writer lock on a journal's ``.lock`` sidecar.
 
-    ``flock(LOCK_EX | LOCK_NB)`` semantics: acquisition fails
-    immediately when another *live* process holds the lock, and the
-    kernel releases it automatically when the holder exits — so a
-    crashed run can never wedge future resumes. The sidecar records the
-    holder's host, pid and start time; on contention that metadata is
-    quoted in the :class:`CheckpointError`, and on reclaim of a stale
-    sidecar (file present, lock free — the previous holder died) the
-    stale holder's pid is remembered on :attr:`reclaimed_from`.
+    A :class:`FileLock`: acquisition fails immediately when another
+    *live* process holds the lock, and the kernel releases it
+    automatically when the holder exits — so a crashed run can never
+    wedge future resumes. The sidecar records the holder's host, pid and
+    start time; on contention that metadata is quoted in the
+    :class:`CheckpointError`, and on reclaim of a stale sidecar (file
+    present, lock free — the previous holder died) the stale holder's
+    pid is remembered on :attr:`reclaimed_from`.
 
     Reclaim is refused when the sidecar was written by a *different
     host*: ``flock`` state lives in one kernel, so on shared storage a
@@ -124,26 +174,20 @@ class JournalLock:
 
     def __init__(self, journal_path: "str | os.PathLike"):
         self.path = Path(str(journal_path) + ".lock")
-        self._handle: Any = None
+        self._lock = FileLock(self.path)
         #: pid recorded in a stale sidecar this acquisition reclaimed.
         self.reclaimed_from: "int | None" = None
 
     @property
     def held(self) -> bool:
         """True while this process holds the lock."""
-        return self._handle is not None
+        return self._lock.handle is not None
 
     def acquire(self) -> "JournalLock":
         """Take the lock or raise :class:`CheckpointError` naming the holder."""
-        if fcntl is None:  # pragma: no cover - Windows: locking unavailable
-            return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
         stale = self._read_holder()
-        handle = open(self.path, "a+", encoding="utf-8")
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
+        if not self._lock.acquire():
             holder = self._read_holder()
             detail = (
                 f" (held by {self._describe_holder(holder)} since {holder['started']})"
@@ -154,12 +198,11 @@ class JournalLock:
                 f"checkpoint journal {self.path.stem!r} is locked by another "
                 f"--resume run{detail}; wait for it to finish or remove "
                 f"{self.path} if that process is truly gone"
-            ) from None
+            )
         if stale:
             owner_host = stale.get("host")
             if owner_host is not None and owner_host != socket.gethostname():
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-                handle.close()
+                self._lock.release()
                 raise CheckpointError(
                     f"checkpoint journal {self.path.stem!r} is locked by "
                     f"{self._describe_holder(stale)} on a different host; "
@@ -168,6 +211,7 @@ class JournalLock:
                     f"only after confirming that host's run is gone"
                 )
             self.reclaimed_from = stale.get("pid")
+        handle = self._lock.handle
         handle.seek(0)
         handle.truncate()
         handle.write(
@@ -182,7 +226,6 @@ class JournalLock:
             + "\n"
         )
         handle.flush()
-        self._handle = handle
         return self
 
     @staticmethod
@@ -210,15 +253,13 @@ class JournalLock:
         *different* inodes under the same name. An empty sidecar with a
         free lock is simply a journal nobody is writing.
         """
-        if self._handle is None:
+        handle = self._lock.handle
+        if handle is None:
             return
-        self._handle.seek(0)
-        self._handle.truncate()
-        self._handle.flush()
-        if fcntl is not None:
-            fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-        self._handle.close()
-        self._handle = None
+        handle.seek(0)
+        handle.truncate()
+        handle.flush()
+        self._lock.release()
 
 
 @dataclass(frozen=True, slots=True)
@@ -346,8 +387,7 @@ class SweepCheckpoint:
             "error": outcome.error,
             "value": payload,
         }
-        record["crc"] = _record_crc(record)
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self._handle.write(dump_record(record))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._entries[outcome.index] = JournalEntry(
@@ -375,29 +415,49 @@ class SweepCheckpoint:
         self.close()
 
 
-def _record_crc(body: "dict[str, Any]") -> int:
+def _record_crc(body: "Mapping[str, Any]") -> int:
     """CRC32 of a record body's canonical JSON (sans the ``crc`` key)."""
     return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
-def _decode_record(line: str) -> "JournalEntry | None":
-    """One JSONL record back into a :class:`JournalEntry`; None if bad.
+def dump_record(body: "Mapping[str, Any]") -> str:
+    """One journal line: ``body`` plus its ``crc``, as sorted-key JSON.
 
-    Records written by this build carry a ``crc`` of their canonical
-    body: a record that parses as JSON but fails its checksum (a
-    flipped bit mid-file, not just a truncated tail) is rejected the
-    same way, so the caller re-runs that point instead of trusting a
-    silently corrupted value. Legacy records without a ``crc`` are
-    accepted as before.
+        >>> dump_record({"index": 0})
+        '{"crc": 3470326675, "index": 0}\\n'
+    """
+    return json.dumps({**body, "crc": _record_crc(body)}, sort_keys=True) + "\n"
+
+
+def load_record(line: str) -> "dict[str, Any] | None":
+    """A journal line back into its body; ``None`` if it is not one.
+
+    A record that parses as JSON but fails its checksum (a flipped bit
+    mid-file, not just a truncated tail) is rejected like unparseable
+    text, so the caller drops that record instead of trusting a silently
+    corrupted one. Legacy records without a ``crc`` are accepted.
+
+        >>> load_record(dump_record({"index": 0}))
+        {'index': 0}
+        >>> load_record('{"crc": 1, "index": 0}') is None
+        True
     """
     try:
         record = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(record, dict) or not isinstance(record.get("index"), int):
+    if not isinstance(record, dict):
         return None
     crc = record.pop("crc", None)
     if crc is not None and crc != _record_crc(record):
+        return None
+    return record
+
+
+def _decode_record(line: str) -> "JournalEntry | None":
+    """One sweep record back into a :class:`JournalEntry`; None if bad."""
+    record = load_record(line)
+    if record is None or not isinstance(record.get("index"), int):
         return None
     status = record.get("status")
     if status not in ("ok", "failed", "timed_out", "crashed"):

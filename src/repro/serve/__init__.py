@@ -47,9 +47,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "JobsApi",
             "TransientJobError",
             "fold_events",
-            "get_job_kind",
-            "job_kinds",
-            "register_job_kind",
         ),
         "lifecycle": ("DrainController", "install_signal_handlers"),
         "limits": ("Deadline", "Job", "TokenBucket", "WorkerPool"),

@@ -2,13 +2,13 @@
 
 The request/response plane caps every answer at one request deadline;
 this module is the substrate for work that does not fit — survey-scale
-costing sweeps, population analytics, and (per the roadmap) surrogate-
-guided search. A *job* is submitted, journalled, executed by a bounded
-runner, and polled to completion; every lifecycle transition is durable
-before it is observable, so a SIGKILL of the server (or of any pre-fork
-worker) loses nothing: on restart the incomplete job is re-claimed and
-its sweep resumes from its checkpoint journal, producing a result
-artifact byte-identical to the uninterrupted run.
+costing sweeps and population analytics. A *job* is submitted,
+journalled, executed by a bounded runner, and polled to completion;
+every lifecycle transition is durable before it is observable, so a
+SIGKILL of the server (or of any pre-fork worker) loses nothing: on
+restart the incomplete job is re-claimed and its sweep resumes from its
+checkpoint journal, producing a result artifact byte-identical to the
+uninterrupted run.
 
 Lifecycle (journalled, monotone — a terminal state is final)::
 
@@ -19,34 +19,35 @@ Lifecycle (journalled, monotone — a terminal state is final)::
         retrying /
         interrupted (drain)
 
-Durability contract — the same idioms :mod:`repro.perf.journal` pins:
+Durability contract — the same mechanism :mod:`repro.perf.journal` pins,
+its record codec and its ``flock`` primitive included:
 
 * each job owns an append-only ``events.jsonl``: header + one CRC'd
-  JSON record per transition, each appended with a single ``write(2)``
-  and fsync'd before the transition is acted on; a torn tail or a
-  flipped bit drops that record only (self-healing load);
+  JSON record per transition (:func:`~repro.perf.journal.dump_record`),
+  each appended with a single ``write(2)`` and fsync'd before the
+  transition is acted on; a torn tail or a flipped bit drops that
+  record only (self-healing load);
 * the result artifact is written with
   :func:`repro.core.atomicio.atomic_write_bytes` *before* the
   ``succeeded`` record, so a crash between the two re-runs the job and
   rewrites identical bytes — never serves a half-written result;
-* execution ownership is an advisory ``flock`` on the job's
-  ``claim.lock``: the kernel frees it when the holder dies, which is
-  both the multi-worker claim protocol (pre-fork workers share one
-  store) and the crash-recovery signal (a ``running`` job whose claim
-  is free has a dead owner — any scanner may resume it);
+* execution ownership is an advisory
+  :class:`~repro.perf.journal.FileLock` on the job's ``claim.lock``:
+  the kernel frees it when the holder dies, which is both the
+  multi-worker claim protocol (pre-fork workers share one store) and
+  the crash-recovery signal (a ``running`` job whose claim is free has
+  a dead owner — any scanner may resume it);
 * idempotency keys live in an ``O_CREAT|O_EXCL``-claimed index file per
   key, so a retried submission returns the original job id without
   re-running anything.
 
-Job *kinds* are registered in a process-wide table
-(:func:`register_job_kind`); each kind validates its parameters with
-the same strict helpers the synchronous endpoints use and runs its
-sweep through :meth:`JobContext.run_sweep`, which threads cooperative
-cancellation, drain interruption, per-job deadlines and the checkpoint
-journal through every point. The built-in kinds are ``survey-costs``
+Job *kinds* form a constant table (:data:`JOB_KINDS`): ``survey-costs``
 (the ``/v1/survey?costs=true`` workload) and ``population`` (synthetic
-signature generation + class-occupancy analytics); roadmap item 2's
-surrogate-guided search plugs in as just another kind.
+signature generation + class-occupancy analytics). Each kind validates
+its parameters with the same strict helpers the synchronous endpoints
+use and runs its sweep through :meth:`JobContext.run_sweep`, which
+threads cooperative cancellation, drain interruption, per-job deadlines
+and the checkpoint journal through every point.
 """
 
 from __future__ import annotations
@@ -64,16 +65,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-try:  # pragma: no cover - import guard exercised only off-POSIX
-    import fcntl
-except ImportError:  # pragma: no cover - Windows: advisory locking disabled
-    fcntl = None  # type: ignore[assignment]
-
 from repro.core.atomicio import atomic_write_bytes, atomic_write_text
 from repro.core.errors import FaultError, ReproError
 from repro.obs import metrics as _metrics
 from repro.perf.engine import RetryPolicy, sweep
-from repro.perf.journal import SweepCheckpoint
+from repro.perf.journal import FileLock, dump_record, load_record
 from repro.serve.errors import (
     BadRequestError,
     ConflictError,
@@ -90,6 +86,7 @@ from repro.serve.validation import (
 )
 
 __all__ = [
+    "JOB_KINDS",
     "JOB_STATES",
     "TERMINAL_STATES",
     "JobContext",
@@ -100,9 +97,6 @@ __all__ = [
     "JobsApi",
     "TransientJobError",
     "fold_events",
-    "get_job_kind",
-    "job_kinds",
-    "register_job_kind",
 ]
 
 #: Schema tag written into (and required of) every job journal header.
@@ -279,25 +273,6 @@ def fold_events(events: "list[dict[str, Any]]") -> "JobRecord | None":
     return record
 
 
-def _record_crc(body: "dict[str, Any]") -> int:
-    """CRC32 of a record body's canonical JSON (sans the ``crc`` key)."""
-    return zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
-
-
-def _decode_event(line: str) -> "dict[str, Any] | None":
-    """One JSONL event back into a dict; ``None`` drops a bad record."""
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(record, dict) or not isinstance(record.get("event"), str):
-        return None
-    crc = record.pop("crc", None)
-    if crc is not None and crc != _record_crc(record):
-        return None
-    return record
-
-
 def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = None) -> float:
     """The seeded backoff before retry ``attempt`` (1-based) of a job.
 
@@ -315,46 +290,6 @@ def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = N
 
 
 # -- the durable store -----------------------------------------------------
-
-
-class _JobClaim:
-    """Advisory execution ownership of one job (``flock`` on claim.lock).
-
-    The lock follows the open file description, so two runner threads in
-    one process conflict exactly like two pre-fork workers do — and the
-    kernel frees it when the holder dies, which is what lets a sibling
-    (or a restarted server) adopt a SIGKILLed owner's running job.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-        self._handle: Any = None
-
-    def acquire(self) -> bool:
-        """Take the claim; ``False`` means a live owner already holds it."""
-        handle = open(self.path, "a+", encoding="utf-8")
-        if fcntl is None:  # pragma: no cover - Windows: single-process only
-            self._handle = handle
-            return True
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            handle.close()
-            return False
-        self._handle = handle
-        return True
-
-    def release(self) -> None:
-        """Drop the claim (idempotent)."""
-        if self._handle is None:
-            return
-        if fcntl is not None:
-            try:
-                fcntl.flock(self._handle.fileno(), fcntl.LOCK_UN)
-            except OSError:  # pragma: no cover - claim file GC'd underneath us
-                pass
-        self._handle.close()
-        self._handle = None
 
 
 class JobStore:
@@ -456,12 +391,8 @@ class JobStore:
             "ttl_s": ttl_s,
             "max_attempts": max_attempts,
         }
-        submitted["crc"] = _record_crc({k: v for k, v in submitted.items()})
         # The journal appears whole (header + submission) or not at all.
-        atomic_write_text(
-            self.events_path(job_id),
-            header + "\n" + json.dumps(submitted, sort_keys=True) + "\n",
-        )
+        atomic_write_text(self.events_path(job_id), header + "\n" + dump_record(submitted))
         if index_path is not None:
             atomic_write_text(
                 index_path,
@@ -513,7 +444,11 @@ class JobStore:
             return None
         if not isinstance(header, dict) or header.get("format") != JOB_JOURNAL_FORMAT:
             return None
-        events = [event for event in map(_decode_event, lines[1:]) if event is not None]
+        events = [
+            event
+            for event in map(load_record, lines[1:])
+            if event is not None and isinstance(event.get("event"), str)
+        ]
         record = fold_events(events)
         if record is not None and self.cancel_flag(job_id).exists():
             record.cancel_requested = True
@@ -548,9 +483,8 @@ class JobStore:
         one worker, the runner in another) interleave whole records,
         never bytes.
         """
-        record: dict[str, Any] = {"event": event, "ts": self._clock(), **fields}
-        record["crc"] = _record_crc(record)
-        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        record = {"event": event, "ts": self._clock(), **fields}
+        line = dump_record(record).encode("utf-8")
         fd = os.open(self.events_path(job_id), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
         try:
             os.write(fd, line)
@@ -560,9 +494,9 @@ class JobStore:
 
     # -- execution ownership ---------------------------------------------
 
-    def claim(self, job_id: str) -> "_JobClaim | None":
+    def claim(self, job_id: str) -> "FileLock | None":
         """Try to own the job's execution; ``None`` when already owned."""
-        claim = _JobClaim(self.job_dir(job_id) / "claim.lock")
+        claim = FileLock(self.job_dir(job_id) / "claim.lock")
         try:
             acquired = claim.acquire()
         except OSError:
@@ -682,7 +616,7 @@ class JobStore:
 
 @dataclass(frozen=True)
 class JobKind:
-    """One registered job type: a validator and a runner.
+    """One job type: a validator and a runner.
 
     ``validate`` maps raw string parameters (query/body fields) onto a
     normalised JSON-typed dict — journalled verbatim, so a crash-resumed
@@ -696,26 +630,6 @@ class JobKind:
     summary: str
     validate: Callable[[Mapping[str, str]], dict[str, Any]]
     run: Callable[[dict[str, Any], "JobContext"], dict[str, Any]]
-
-
-_JOB_KINDS: dict[str, JobKind] = {}
-
-
-def register_job_kind(kind: JobKind, *, replace: bool = False) -> None:
-    """Add a kind to the process-wide registry (roadmap item 2's hook)."""
-    if not replace and kind.name in _JOB_KINDS:
-        raise ValueError(f"job kind {kind.name!r} is already registered")
-    _JOB_KINDS[kind.name] = kind
-
-
-def job_kinds() -> tuple[str, ...]:
-    """Every registered kind name, sorted."""
-    return tuple(sorted(_JOB_KINDS))
-
-
-def get_job_kind(name: str) -> JobKind:
-    """Look up a registered kind; raises ``KeyError`` when unknown."""
-    return _JOB_KINDS[name]
 
 
 class JobContext:
@@ -785,13 +699,9 @@ class JobContext:
                 time.sleep(throttle_s)
             return fn(point)
 
-        checkpoint = SweepCheckpoint.open(
-            name, spec, directory=str(self.checkpoint_dir)
+        result = sweep(
+            guarded, points, journal=(name, spec), checkpoint_dir=self.checkpoint_dir
         )
-        try:
-            result = sweep(guarded, points, executor="serial", checkpoint=checkpoint)
-        finally:
-            checkpoint.close()
         return list(result.values)
 
 
@@ -916,22 +826,24 @@ def _run_population(params: "dict[str, Any]", context: JobContext) -> dict[str, 
     }
 
 
-register_job_kind(
-    JobKind(
-        name="survey-costs",
-        summary="price the 25 surveyed architectures (async /v1/survey?costs=true)",
-        validate=_validate_survey_costs,
-        run=_run_survey_costs,
+#: Every job kind, by name.
+JOB_KINDS: dict[str, JobKind] = {
+    kind.name: kind
+    for kind in (
+        JobKind(
+            name="survey-costs",
+            summary="price the 25 surveyed architectures (async /v1/survey?costs=true)",
+            validate=_validate_survey_costs,
+            run=_run_survey_costs,
+        ),
+        JobKind(
+            name="population",
+            summary="generate a synthetic signature population and its class occupancy",
+            validate=_validate_population,
+            run=_run_population,
+        ),
     )
-)
-register_job_kind(
-    JobKind(
-        name="population",
-        summary="generate a synthetic signature population and its class occupancy",
-        validate=_validate_population,
-        run=_run_population,
-    )
-)
+}
 
 
 # -- the bounded runner ----------------------------------------------------
@@ -999,8 +911,7 @@ class JobManager:
         max_attempts: "int | None" = None,
     ) -> "tuple[JobRecord, bool]":
         """Validate and journal one submission; returns (record, deduped)."""
-        kind = get_job_kind(kind_name)
-        normalized = kind.validate(params)
+        normalized = JOB_KINDS[kind_name].validate(params)
         record, deduped = self.store.submit(
             kind_name,
             normalized,
@@ -1064,7 +975,7 @@ class JobManager:
             finally:
                 claim.release()
 
-    def _claim_next(self) -> "tuple[JobRecord, _JobClaim] | None":
+    def _claim_next(self) -> "tuple[JobRecord, FileLock] | None":
         """The oldest eligible job we can own, re-validated under its claim."""
         if self._drain_event.is_set():
             return None
@@ -1116,8 +1027,7 @@ class JobManager:
         )
         try:
             context.heartbeat()
-            kind = get_job_kind(fresh.kind)
-            payload = kind.run(fresh.params, context)
+            payload = JOB_KINDS[fresh.kind].run(fresh.params, context)
         except _JobCancelled:
             self.store.append_event(job_id, "cancelled")
             _CANCELLED.inc()
@@ -1201,13 +1111,11 @@ class JobsApi:
         max_attempts = int_field(params, "max-attempts", minimum=1, maximum=10)
         for reserved in _RESERVED_SUBMIT_PARAMS:
             params.pop(reserved, None)
-        try:
-            get_job_kind(kind_name)
-        except KeyError:
+        if kind_name not in JOB_KINDS:
             raise BadRequestError(
                 f"unknown job kind {kind_name!r}; "
-                f"registered kinds: {', '.join(job_kinds())}"
-            ) from None
+                f"registered kinds: {', '.join(sorted(JOB_KINDS))}"
+            )
         request.check_deadline("validating the submission")
         record, deduplicated = self.manager.submit(
             kind_name,

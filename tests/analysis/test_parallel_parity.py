@@ -3,7 +3,9 @@
 The acceptance bar for the sweep engine: ``--jobs N`` is a wall-clock
 knob, never a results knob. Every rewired analysis is checked for exact
 equality between its serial and parallel forms, including the rendered
-artifacts the CLI writes to disk.
+artifacts the CLI writes to disk. The ``process`` cases call the
+analysis from the main thread, the ``thread`` cases from a worker thread
+(a library caller's or a job runner's context); both run the pool.
 """
 
 import pytest
@@ -16,12 +18,18 @@ from repro.analysis.resilience import (
     resilience_sweep,
 )
 from repro.analysis.survey_costs import evaluate_survey, survey_cost_table
+from tests.perf.sweep_paths import on_thread
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_resilience_sweep_parity(executor):
+def _call_from(caller, fn, **kwargs):
+    """``fn(**kwargs)`` on the main thread (``process``) or a worker thread."""
+    return fn(**kwargs) if caller == "process" else on_thread(fn, **kwargs)
+
+
+@pytest.mark.parametrize("caller", ["thread", "process"])
+def test_resilience_sweep_parity(caller):
     serial = resilience_sweep(jobs=1)
-    parallel = resilience_sweep(jobs=4, executor=executor)
+    parallel = _call_from(caller, resilience_sweep, jobs=4)
     assert serial == parallel
 
 
@@ -32,10 +40,10 @@ def test_resilience_artifact_bytes_are_jobs_invariant():
     assert render_resilience_table(serial) == render_resilience_table(parallel)
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_survey_costs_parity(executor):
+@pytest.mark.parametrize("caller", ["thread", "process"])
+def test_survey_costs_parity(caller):
     serial = evaluate_survey(jobs=1)
-    parallel = evaluate_survey(jobs=4, executor=executor)
+    parallel = _call_from(caller, evaluate_survey, jobs=4)
     assert serial == parallel
 
 
@@ -45,10 +53,10 @@ def test_survey_cost_table_is_jobs_invariant():
     )
 
 
-@pytest.mark.parametrize("executor", ["thread", "process"])
-def test_evaluate_classes_parity(executor):
+@pytest.mark.parametrize("caller", ["thread", "process"])
+def test_evaluate_classes_parity(caller):
     serial = evaluate_classes(n=16, jobs=1)
-    parallel = evaluate_classes(n=16, jobs=4, executor=executor)
+    parallel = _call_from(caller, evaluate_classes, n=16, jobs=4)
     assert serial == parallel
     assert pareto_frontier(serial) == pareto_frontier(parallel)
 

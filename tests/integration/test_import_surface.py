@@ -75,6 +75,10 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
     assert _loaded_after("import repro.serve.__main__", never) == []
 
 
+#: The process pool's modules: only ``--jobs`` > 1 may load them.
+POOL = ("concurrent.futures", "multiprocessing")
+
+
 @pytest.mark.parametrize(
     "argv, never",
     [
@@ -83,10 +87,11 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
             "classify --ips 1 --dps n --ip-dp 1-n --ip-im 1-1 --dp-dm nxn --dp-dp nxn".split(),
             ("numpy", "networkx", "multiprocessing"),
         ),
-        (["costs"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal")),
-        (["dse"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal")),
+        (["costs"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),
+        (["dse"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),
+        (["faults", "--out", "-"], ("numpy", *POOL)),
     ],
-    ids=["table1", "classify", "costs", "dse"],
+    ids=["table1", "classify", "costs", "dse", "faults"],
 )
 def test_cli_command_loads_only_what_it_runs(argv, never):
     statement = (

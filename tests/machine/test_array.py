@@ -11,6 +11,7 @@ from repro.machine.kernels import (
     simd_vector_add,
     vector_add_reference,
 )
+from repro.machine.program import Opcode, Program, ins
 
 
 class TestConstruction:
@@ -78,6 +79,24 @@ class TestSimdExecution:
         with pytest.raises(ProgramError, match="divergent"):
             iap.run(assemble("laneid r1\nbne r1, r0, 0\nhalt"))
 
+    def test_arbitrary_precision_is_preserved(self):
+        """Chained MULs overflow int64 fast; lane registers stay exact."""
+        program = Program(
+            [
+                ins(Opcode.LDI, rd=1, imm=2**30 + 7),
+                ins(Opcode.MUL, rd=1, rs1=1, rs2=1),
+                ins(Opcode.MUL, rd=1, rs1=1, rs2=1),
+                ins(Opcode.SHR, rd=2, rs1=1, imm=100),
+                ins(Opcode.HALT),
+            ],
+            "bigint",
+        )
+        iap = ArrayProcessor(8, ArraySubtype.IAP_I)
+        iap.run(program)
+        value = (2**30 + 7) ** 4  # > 2**120: far past any fixed width
+        assert all(lane.registers[1] == value for lane in iap.lanes)
+        assert all(lane.registers[2] == value >> 100 for lane in iap.lanes)
+
     def test_uniform_branch_allowed(self):
         iap = ArrayProcessor(4)
         program = assemble("""
@@ -99,6 +118,14 @@ class TestShuffle:
             lane.store(0, value)
         result = iap.run(simd_reduction_shuffle(8))
         assert result.outputs["registers"][0][3] == reduction_reference(values)
+
+    def test_shuffle_reduction_sixteen_lanes(self):
+        iap = ArrayProcessor(16, ArraySubtype.IAP_IV)
+        values = [3 * i + 1 for i in range(16)]
+        iap.scatter(0, values)
+        result = iap.run(simd_reduction_shuffle(16))
+        assert result.outputs["registers"][0][3] == reduction_reference(values)
+        assert (result.cycles, result.operations) == (19, 304)
 
     def test_shuffle_is_simultaneous(self):
         """A full-rotation shuffle must not read half-updated registers."""
@@ -151,6 +178,55 @@ class TestGlobalMemory:
         iap.run(program)
         assert iap.lanes[0].load(2) == 0
         assert iap.lanes[0].load(3) == 1
+
+
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        (
+            Program(
+                [
+                    ins(Opcode.LANEID, rd=1),
+                    ins(Opcode.LDI, rd=2, imm=0),
+                    ins(Opcode.BEQ, rs1=1, rs2=2, imm=4),
+                    ins(Opcode.NOP),
+                    ins(Opcode.HALT),
+                ],
+                "divergent",
+            ),
+            "divergent branch at pc=2 (beq r1, r2, 4): "
+            "a single-IP array processor has one program counter",
+        ),
+        (
+            Program(
+                [
+                    ins(Opcode.LDI, rd=1, imm=5),
+                    ins(Opcode.LANEID, rd=2),
+                    ins(Opcode.DIV, rd=3, rs1=1, rs2=2),
+                    ins(Opcode.HALT),
+                ],
+                "divzero",
+            ),
+            "core 0: division by zero",
+        ),
+        (
+            Program(
+                [
+                    ins(Opcode.LDI, rd=1, imm=4000),
+                    ins(Opcode.LD, rd=2, rs1=1, imm=0),
+                    ins(Opcode.HALT),
+                ],
+                "out-of-bounds",
+            ),
+            "core 0: memory address 4000 out of range 0..1023",
+        ),
+    ],
+    ids=["divergent", "divzero", "out-of-bounds"],
+)
+def test_program_errors_name_the_faulting_lane(program, message):
+    with pytest.raises(ProgramError) as error:
+        ArrayProcessor(8, ArraySubtype.IAP_I).run(program)
+    assert str(error.value) == message
 
 
 class TestGuards:

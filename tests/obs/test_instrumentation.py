@@ -12,7 +12,7 @@ from repro.machine.array_processor import ArrayProcessor, ArraySubtype
 from repro.machine.base import machine_label, traced_run
 from repro.machine.kernels import simd_vector_add
 from repro.obs import REGISTRY, trace, validate_trace
-from repro.perf import ModelCache, sweep
+from repro.perf import ModelCache, engine, sweep
 from repro.models import NODE_65NM
 from repro.registry import architecture
 
@@ -47,14 +47,15 @@ class TestSweepInstrumentation:
         (root,) = trace.tracer().roots
         assert root.name == "perf.sweep"
         assert root.attributes["points"] == 3
-        assert root.attributes["executor"] == "serial"
+        assert root.attributes["jobs"] == 1
         assert root.attributes["wall_s"] >= 0
         points = _find(root, "perf.point")
         assert [p.attributes["index"] for p in points] == [0, 1, 2]
 
-    def test_pooled_sweep_records_chunk_events_with_queue_wait(self):
+    def test_pooled_sweep_records_chunk_events_with_queue_wait(self, monkeypatch):
+        monkeypatch.setattr(engine, "CHUNKSIZE", 2)
         trace.enable()
-        result = sweep(_square, list(range(8)), executor="thread", jobs=2, chunksize=2)
+        result = sweep(_square, list(range(8)), jobs=2)
         trace.disable()
         assert list(result) == [v * v for v in range(8)]
         (root,) = trace.tracer().roots

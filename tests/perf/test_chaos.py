@@ -10,7 +10,7 @@ import functools
 import os
 import signal
 
-from repro.perf import sweep
+from repro.perf import SweepCheckpoint, engine, sweep
 from repro.perf.engine import _DEFAULT_SPEC, _EvalSpec, _sweep_last_resort
 
 
@@ -35,36 +35,30 @@ def _poison(x):
 
 def test_sigkilled_worker_mid_sweep_recovers_fully(tmp_path):
     fn = functools.partial(_kill_worker_once, marker=str(tmp_path / "killed"))
-    result = sweep(fn, range(12), executor="process", jobs=2, chunksize=1)
+    result = sweep(fn, range(12), jobs=2)
     assert list(result) == [x * x for x in range(12)]
     assert result.respawns >= 1
     assert all(o.status == "ok" for o in result.outcomes)
     assert len(result.outcomes) == 12
 
 
-def test_sigkill_recovery_degrades_to_serial_when_respawns_run_out(tmp_path):
-    # max_respawns=0: the first crash already exhausts the budget, so the
+def test_sigkill_recovery_degrades_to_serial_when_respawns_run_out(tmp_path, monkeypatch):
+    # MAX_RESPAWNS=0: the first crash already exhausts the budget, so the
     # survivors (and the once-crashing point, now marked) run in-parent.
+    monkeypatch.setattr(engine, "MAX_RESPAWNS", 0)
     fn = functools.partial(_kill_worker_once, marker=str(tmp_path / "killed"))
-    result = sweep(fn, range(12), executor="process", jobs=2, chunksize=1, max_respawns=0)
+    result = sweep(fn, range(12), jobs=2)
     assert list(result) == [x * x for x in range(12)]
     assert result.respawns == 1
     assert all(o.status == "ok" for o in result.outcomes)
 
 
-def test_poison_point_is_identified_not_fatal():
+def test_poison_point_is_identified_not_fatal(monkeypatch):
     # A point that reliably kills its worker must end up isolated in its
     # own single-worker pool and reported as "crashed" — every other
     # point still computes.
-    result = sweep(
-        _poison,
-        range(8),
-        executor="process",
-        jobs=2,
-        chunksize=1,
-        on_error="skip",
-        max_respawns=1,
-    )
+    monkeypatch.setattr(engine, "MAX_RESPAWNS", 1)
+    result = sweep(_poison, range(8), jobs=2, on_error="skip")
     statuses = {o.index: o.status for o in result.outcomes}
     assert statuses[3] == "crashed"
     assert all(status == "ok" for index, status in statuses.items() if index != 3)
@@ -73,22 +67,14 @@ def test_poison_point_is_identified_not_fatal():
     assert result.status_counts()["crashed"] == 1
 
 
-def test_crashes_are_journalled_for_the_post_mortem(tmp_path):
-    from repro.perf import SweepCheckpoint
-
+def test_crashes_are_journalled_for_the_post_mortem(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_RESPAWNS", 0)
     spec = {"points": 8}
-    with SweepCheckpoint.open("chaos", spec, directory=tmp_path) as checkpoint:
-        sweep(
-            _poison,
-            range(8),
-            executor="process",
-            jobs=2,
-            chunksize=1,
-            on_error="skip",
-            max_respawns=0,
-            checkpoint=checkpoint,
-        )
-        lines = checkpoint.path.read_text().splitlines()
+    sweep(
+        _poison, range(8), jobs=2, on_error="skip", journal=("chaos", spec), checkpoint_dir=tmp_path
+    )
+    (journal,) = tmp_path.glob("chaos-*.jsonl")
+    lines = journal.read_text().splitlines()
     records = [line for line in lines[1:] if '"crashed"' in line]
     assert len(records) == 1
     # Crashed points do not count as done: a resume recomputes them.

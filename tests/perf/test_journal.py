@@ -16,7 +16,14 @@ from repro.perf import (
     checkpoint_directory,
     spec_digest,
 )
-from repro.perf.journal import CHECKPOINT_DIR_ENV, DEFAULT_CHECKPOINT_DIR, JOURNAL_FORMAT
+from repro.perf.journal import (
+    CHECKPOINT_DIR_ENV,
+    DEFAULT_CHECKPOINT_DIR,
+    JOURNAL_FORMAT,
+    FileLock,
+    dump_record,
+    load_record,
+)
 
 
 def _ok(index, value):
@@ -43,6 +50,43 @@ class TestSpecDigest:
 
     def test_digest_ignores_key_order(self):
         assert spec_digest("s", {"a": 1, "b": 2}) == spec_digest("s", {"b": 2, "a": 1})
+
+
+class TestRecordCodec:
+    """One line format for both journals, byte-compatible with old files."""
+
+    #: A sweep record and a job event exactly as earlier builds wrote them.
+    SWEEP_LINE = (
+        '{"attempts": 1, "crc": 457916474, "elapsed_s": 0.5, "error": null, '
+        '"index": 3, "status": "ok", "value": "gARLCS4="}'
+    )
+    JOB_LINE = '{"crc": 4218352474, "event": "started", "ts": 2.5}'
+
+    def test_dump_record_writes_the_committed_line_format(self):
+        sweep_body = {
+            "index": 3, "status": "ok", "attempts": 1,
+            "elapsed_s": 0.5, "error": None, "value": "gARLCS4=",
+        }
+        assert dump_record(sweep_body) == self.SWEEP_LINE + "\n"
+        assert dump_record({"event": "started", "ts": 2.5}) == self.JOB_LINE + "\n"
+
+    def test_load_record_checks_the_crc(self):
+        assert load_record(self.JOB_LINE) == {"event": "started", "ts": 2.5}
+        assert load_record(self.JOB_LINE.replace("2.5", "3.5")) is None
+        assert load_record('{"event": "started"}') == {"event": "started"}  # legacy
+        assert load_record("[1, 2]") is None
+        assert load_record('{"event": "sta') is None
+
+
+class TestFileLock:
+    def test_lock_is_exclusive_across_handles_and_releasable(self, tmp_path):
+        first, second = FileLock(tmp_path / "x.lock"), FileLock(tmp_path / "x.lock")
+        assert first.acquire()
+        assert not second.acquire()
+        first.release()
+        first.release()  # idempotent
+        assert second.acquire()
+        second.release()
 
 
 class TestCheckpointDirectory:
@@ -229,10 +273,9 @@ class TestRecordChecksums:
     def test_resume_recomputes_only_the_corrupted_point(self, tmp_path):
         from repro.perf import sweep
 
-        spec = {"kind": "crc-resume"}
-        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-            sweep(lambda x: x * 10, range(4), checkpoint=checkpoint)
-            path = checkpoint.path
+        journal = ("unit", {"kind": "crc-resume"})
+        sweep(lambda x: x * 10, range(4), journal=journal, checkpoint_dir=tmp_path)
+        (path,) = tmp_path.glob("unit-*.jsonl")
         _corrupt_record(path, 2, lambda record: record.update(elapsed_s=1e9))
         recomputed = []
 
@@ -240,8 +283,7 @@ class TestRecordChecksums:
             recomputed.append(x)
             return x * 10
 
-        with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-            result = sweep(traced, range(4), checkpoint=checkpoint)
+        result = sweep(traced, range(4), journal=journal, checkpoint_dir=tmp_path)
         assert list(result.values) == [0, 10, 20, 30]
         assert recomputed == [2]
 

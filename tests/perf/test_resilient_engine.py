@@ -1,9 +1,10 @@
 """The sweep engine's resilience contracts: policies, deadlines, resume.
 
 These tests pin down the failure-policy semantics (`on_error`), the
-deterministic seeded backoff schedule, per-point deadlines on every
-executor, and the checkpoint/resume property: an interrupted sweep
-resumed from its journal is bit-identical to one that never stopped.
+deterministic seeded backoff schedule, per-point deadlines along every
+path a sweep runs (see ``sweep_paths``), and the checkpoint/resume
+property: an interrupted sweep resumed from its journal is
+bit-identical to one that never stopped.
 """
 
 import functools
@@ -16,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import (
-    EXECUTORS,
     ON_ERROR_POLICIES,
     POINT_STATUSES,
     PointTimeout,
     RetryPolicy,
-    SweepCheckpoint,
+    engine,
     sweep,
 )
+from tests.perf.sweep_paths import PATHS, sweep_on
 
 
 def _square(x):
@@ -61,9 +62,9 @@ def test_policy_tuples_are_exported():
     assert POINT_STATUSES == ("ok", "failed", "timed_out", "crashed", "skipped")
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_skip_keeps_sweeping_past_failures(executor):
-    result = sweep(_explode_on_odd, range(8), executor=executor, jobs=2, on_error="skip")
+@pytest.mark.parametrize("path", PATHS)
+def test_skip_keeps_sweeping_past_failures(path):
+    result = sweep_on(path, _explode_on_odd, range(8), jobs=2, on_error="skip")
     assert list(result) == [x * x if x % 2 == 0 else None for x in range(8)]
     statuses = {o.index: o.status for o in result.outcomes}
     assert all(statuses[x] == ("failed" if x % 2 else "ok") for x in range(8))
@@ -73,19 +74,19 @@ def test_skip_keeps_sweeping_past_failures(executor):
     assert all(not o.ok for o in result.failures)
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_retry_recovers_transient_failures(executor, tmp_path):
+@pytest.mark.parametrize("path", PATHS)
+def test_retry_recovers_transient_failures(path, tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "RETRY_POLICY", RetryPolicy(max_retries=3, backoff_s=0.001))
     fn = functools.partial(_succeed_after, marker_dir=str(tmp_path), needed=2)
-    policy = RetryPolicy(max_retries=3, backoff_s=0.001)
-    result = sweep(fn, range(6), executor=executor, jobs=2, on_error="retry", retry=policy)
+    result = sweep_on(path, fn, range(6), jobs=2, on_error="retry")
     assert list(result) == [x * x for x in range(6)]
     assert all(o.status == "ok" for o in result.outcomes)
     assert all(o.attempts == 3 for o in result.outcomes)
 
 
-def test_retry_budget_exhaustion_records_failure():
-    policy = RetryPolicy(max_retries=2, backoff_s=0.001)
-    result = sweep(_explode_on_odd, range(4), on_error="retry", retry=policy)
+def test_retry_budget_exhaustion_records_failure(monkeypatch):
+    monkeypatch.setattr(engine, "RETRY_POLICY", RetryPolicy(max_retries=2, backoff_s=0.001))
+    result = sweep(_explode_on_odd, range(4), on_error="retry")
     failed = {o.index: o for o in result.failures}
     assert set(failed) == {1, 3}
     assert all(o.attempts == 3 for o in failed.values())
@@ -97,9 +98,19 @@ def test_raise_is_the_default_and_propagates():
         sweep(_explode_on_odd, range(4))
 
 
-def test_retry_policy_requires_retry_mode():
-    with pytest.raises(ValueError, match="on_error='retry'"):
-        sweep(_square, range(3), retry=RetryPolicy())
+def test_retry_policy_requires_retry_mode(monkeypatch):
+    # The module's retry schedule applies under on_error="retry" only:
+    # the default policy raises after the first attempt.
+    monkeypatch.setattr(engine, "RETRY_POLICY", RetryPolicy(max_retries=3, backoff_s=0.001))
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        raise ValueError(f"point {x}")
+
+    with pytest.raises(ValueError, match="point 0"):
+        sweep(counted, range(3))
+    assert calls == [0]
 
 
 @pytest.mark.parametrize(
@@ -108,7 +119,7 @@ def test_retry_policy_requires_retry_mode():
         {"on_error": "explode"},
         {"timeout_s": 0.0},
         {"timeout_s": -1.0},
-        {"max_respawns": -1},
+        {"jobs": -1},
     ],
 )
 def test_invalid_policy_arguments_are_rejected(kwargs):
@@ -119,12 +130,12 @@ def test_invalid_policy_arguments_are_rejected(kwargs):
 # -- deadlines -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
-def test_deadline_times_out_the_slow_point(executor):
-    result = sweep(
+@pytest.mark.parametrize("path", PATHS)
+def test_deadline_times_out_the_slow_point(path):
+    result = sweep_on(
+        path,
         _sleepy_on_three,
         range(5),
-        executor=executor,
         jobs=2,
         timeout_s=0.15,
         on_error="skip",
@@ -192,11 +203,9 @@ def test_backoff_delays_stay_inside_the_jitter_band(
 def test_checkpointed_sweep_resumes_bit_identically(tmp_path):
     points = list(range(10))
     expected = sweep(_square, points)
-    spec = {"points": points}
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        sweep(_square, points[:4], checkpoint=checkpoint)
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        resumed = sweep(_square, points, checkpoint=checkpoint)
+    journal = ("unit", {"points": points})
+    sweep(_square, points[:4], journal=journal, checkpoint_dir=tmp_path)
+    resumed = sweep(_square, points, journal=journal, checkpoint_dir=tmp_path)
     assert resumed.values == expected.values
     assert resumed.resumed == 4
     counts = resumed.status_counts()
@@ -204,10 +213,8 @@ def test_checkpointed_sweep_resumes_bit_identically(tmp_path):
 
 
 def test_resume_ignores_journals_for_a_different_spec(tmp_path):
-    with SweepCheckpoint.open("unit", {"n": 1}, directory=tmp_path) as checkpoint:
-        sweep(_square, range(4), checkpoint=checkpoint)
-    with SweepCheckpoint.open("unit", {"n": 2}, directory=tmp_path) as checkpoint:
-        result = sweep(_square, range(4), checkpoint=checkpoint)
+    sweep(_square, range(4), journal=("unit", {"n": 1}), checkpoint_dir=tmp_path)
+    result = sweep(_square, range(4), journal=("unit", {"n": 2}), checkpoint_dir=tmp_path)
     assert result.resumed == 0
 
 
@@ -218,12 +225,10 @@ def test_fully_journalled_sweep_recomputes_nothing(tmp_path):
         calls.append(x)
         return x * x
 
-    spec = {"points": 6}
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        sweep(counted, range(6), checkpoint=checkpoint)
+    journal = ("unit", {"points": 6})
+    sweep(counted, range(6), journal=journal, checkpoint_dir=tmp_path)
     assert len(calls) == 6
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        result = sweep(counted, range(6), checkpoint=checkpoint)
+    result = sweep(counted, range(6), journal=journal, checkpoint_dir=tmp_path)
     assert len(calls) == 6  # nothing recomputed
     assert list(result) == [x * x for x in range(6)]
     assert result.resumed == 6
@@ -243,23 +248,19 @@ def test_resume_after_interrupt_matches_the_uninterrupted_run(interrupt_after):
                 raise KeyboardInterrupt
             return x / 7.0
 
-        spec = {"points": points}
-        with SweepCheckpoint.open("prop", spec, directory=tmp) as checkpoint:
-            with pytest.raises(KeyboardInterrupt):
-                sweep(bomb, points, checkpoint=checkpoint)
-        with SweepCheckpoint.open("prop", spec, directory=tmp) as checkpoint:
-            resumed = sweep(lambda x: x / 7.0, points, checkpoint=checkpoint)
+        journal = ("prop", {"points": points})
+        with pytest.raises(KeyboardInterrupt):
+            sweep(bomb, points, journal=journal, checkpoint_dir=tmp)
+        resumed = sweep(lambda x: x / 7.0, points, journal=journal, checkpoint_dir=tmp)
         assert resumed.values == expected
         assert resumed.resumed == interrupt_after
         assert all(o.ok for o in resumed.outcomes)
 
 
 def test_failed_points_are_rerun_on_resume(tmp_path):
-    spec = {"points": 4}
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        sweep(_explode_on_odd, range(4), on_error="skip", checkpoint=checkpoint)
-    with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
-        result = sweep(_square, range(4), checkpoint=checkpoint)
+    journal = ("unit", {"points": 4})
+    sweep(_explode_on_odd, range(4), on_error="skip", journal=journal, checkpoint_dir=tmp_path)
+    result = sweep(_square, range(4), journal=journal, checkpoint_dir=tmp_path)
     # The even points were journalled ok; the odd ones re-ran (with the
     # healthy function this time) and now succeed.
     assert result.resumed == 2

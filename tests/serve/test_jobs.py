@@ -7,6 +7,7 @@ import pytest
 
 from repro.serve.errors import BadRequestError
 from repro.serve.jobs import (
+    JOB_KINDS,
     JobContext,
     JobKind,
     JobManager,
@@ -14,9 +15,6 @@ from repro.serve.jobs import (
     TransientJobError,
     backoff_delay,
     fold_events,
-    get_job_kind,
-    job_kinds,
-    register_job_kind,
 )
 from repro.serve.router import Router
 from repro.serve.server import ServerConfig, ServiceApp
@@ -294,7 +292,7 @@ class TestJobManager:
         import repro.serve.jobs as jobs_module
 
         monkeypatch.setitem(
-            jobs_module._JOB_KINDS,
+            jobs_module.JOB_KINDS,
             name,
             JobKind(name=name, summary="test", validate=lambda params: {}, run=run),
         )
@@ -302,16 +300,11 @@ class TestJobManager:
 
 class TestKindRegistry:
     def test_builtin_kinds_registered(self):
-        assert "survey-costs" in job_kinds()
-        assert "population" in job_kinds()
-        assert get_job_kind("population").name == "population"
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            register_job_kind(get_job_kind("population"))
+        assert sorted(JOB_KINDS) == ["population", "survey-costs"]
+        assert all(name == kind.name for name, kind in JOB_KINDS.items())
 
     def test_survey_costs_validation_bounds(self):
-        validate = get_job_kind("survey-costs").validate
+        validate = JOB_KINDS["survey-costs"].validate
         assert validate({"n": "8"})["n"] == 8
         with pytest.raises(BadRequestError):
             validate({"n": "0"})

@@ -299,6 +299,36 @@ class TestRunServer:
         assert module_main.main(["--port", "0"]) == 0
         assert seen["config"].fault_plan is None
 
+    def test_both_entry_points_build_the_same_config(self, monkeypatch):
+        """``python -m repro.serve`` and ``repro-taxonomy serve`` share one flag table."""
+        import dataclasses
+
+        import repro.serve.server as server_module
+        from repro.cli import main as cli_main
+        from repro.serve import __main__ as module_main
+
+        configs = []
+
+        def fake_run_server(config):
+            configs.append(config)
+            return 0
+
+        monkeypatch.setattr(module_main, "run_server", fake_run_server)
+        monkeypatch.setattr(server_module, "run_server", fake_run_server)
+        flags = [
+            "--burst", "3", "--breaker-failures", "2", "--breaker-recovery", "0.5",
+            "--log-requests", "--job-runners", "1",
+        ]
+        assert module_main.main(flags) == 0
+        assert cli_main(["serve", *flags]) == 0
+        module_config, cli_config = configs
+        assert (module_config.burst, module_config.log_requests) == (3, True)
+        breaker = module_config.breaker
+        assert (breaker.failure_threshold, breaker.recovery_s) == (2, 0.5)
+        # The default port is the one difference: ephemeral vs 8080.
+        assert (module_config.port, cli_config.port) == (0, 8080)
+        assert module_config == dataclasses.replace(cli_config, port=0)
+
 
 class TestChaos:
     def test_injected_faults_open_the_breaker_then_recover(self):
