@@ -21,7 +21,7 @@ import time
 
 from repro.obs import trace
 from repro.perf import sweep
-from repro.perf.engine import _run_chunk
+from repro.perf.engine import _eval_point
 
 #: Enough per-point arithmetic that the workload dominates scheduling
 #: noise, and enough points that dispatch overhead would register.
@@ -40,7 +40,7 @@ def _reference_pass():
     """What the serial engine did before `repro.obs` existed."""
     indexed = list(enumerate(range(POINTS)))
     start = time.perf_counter()
-    results = _run_chunk(_work, indexed)
+    results = [_eval_point(_work, index, point) for index, point in indexed]
     wall = time.perf_counter() - start
     return tuple(r.value for r in results), wall
 

@@ -1,11 +1,12 @@
-"""Benchmark `sweep-engine`: serial vs pooled sweeps and the model cache.
+"""Benchmark `sweep-engine`: the serial sweep loop and the model cache.
 
-Measures the two perf claims of the sweep substrate and emits the
+Measures the perf claims of the sweep substrate and emits the
 machine-readable ``benchmarks/BENCH_sweeps.json`` trajectory artifact so
 successive PRs can see the curve:
 
-* a process-pool resilience sweep beats the serial loop on multi-core
-  hardware (and never changes the results);
+* the serial resilience sweep scales linearly in the fault-rate ladder
+  (2k, 20k and 200k rates; a process pool lost to it at every size);
+* the engine's per-point overhead stays small;
 * the model-evaluation cache turns repeat sweeps into lookups.
 """
 
@@ -15,12 +16,18 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.resilience import resilience_sweep
 from repro.perf import ModelCache, sweep
 
 #: A fault-rate ladder heavy enough that per-point compute dominates the
 #: engine's scheduling overhead (200 throughput evaluations per entry).
 RATES = tuple(i / 1000.0 for i in range(1, 201))
+
+#: Ladder lengths for the scaling record: an evenly spaced ladder over
+#: [0, 1) with this many rates, swept at the CLI's default n = 16.
+LADDER_SIZES = (2_000, 20_000, 200_000)
 
 TRAJECTORY_PATH = Path(__file__).resolve().parent / "BENCH_sweeps.json"
 
@@ -39,19 +46,17 @@ def _timed(fn) -> float:
 
 
 def test_serial_resilience_sweep(benchmark):
-    points = benchmark(lambda: resilience_sweep(RATES, n=64, jobs=1))
+    points = benchmark(lambda: resilience_sweep(RATES, n=64))
     assert len(points) == 25
-    _RESULTS["serial_s"] = _measure(lambda: resilience_sweep(RATES, n=64, jobs=1))
+    _RESULTS["serial_s"] = _measure(lambda: resilience_sweep(RATES, n=64))
 
 
-def test_parallel_resilience_sweep(benchmark):
-    jobs = os.cpu_count() or 1
-    parallel = benchmark(lambda: resilience_sweep(RATES, n=64, jobs=jobs))
-    assert parallel == resilience_sweep(RATES, n=64, jobs=1)
-    _RESULTS["jobs"] = jobs
-    _RESULTS["parallel_s"] = _measure(
-        lambda: resilience_sweep(RATES, n=64, jobs=jobs)
-    )
+@pytest.mark.parametrize("size", LADDER_SIZES)
+def test_serial_resilience_sweep_scaling(size):
+    rates = tuple(i / size for i in range(size))
+    points = resilience_sweep(rates)
+    assert len(points) == 25 and all(len(p.throughput) == size for p in points)
+    _RESULTS[f"serial_{size}_rates_s"] = _measure(lambda: resilience_sweep(rates))
 
 
 def test_sweep_engine_overhead(benchmark):
@@ -104,10 +109,6 @@ def test_emit_trajectory_artifact():
         "survey_entries": 25,
     }
     record.update(_RESULTS)
-    serial = record.get("serial_s")
-    parallel = record.get("parallel_s")
-    if serial and parallel:
-        record["sweep_speedup"] = round(serial / parallel, 3)
     if TRAJECTORY_PATH.exists():
         trajectory = json.loads(TRAJECTORY_PATH.read_text())
     else:

@@ -149,7 +149,6 @@ def explore(
     objective: Objective = Objective.CONFIG_BITS,
     area_model: "AreaModel | None" = None,
     config_model: "ConfigBitsModel | None" = None,
-    jobs: int = 1,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -157,20 +156,15 @@ def explore(
 ) -> Recommendation:
     """Rank every implementable class against the requirements.
 
-    ``jobs`` parallelises the class evaluation through the sweep engine
-    (see :mod:`repro.perf`); the recommendation is independent of it.
     ``on_error``/``timeout_s``/``resume`` forward to
     :func:`repro.analysis.pareto.evaluate_classes`, so a long DSE run
     can skip bad points and restart from its checkpoint journal.
     """
-    with _trace.span(
-        "analysis.dse", objective=objective.name, n=requirements.n, jobs=jobs
-    ) as dse_span:
+    with _trace.span("analysis.dse", objective=objective.name, n=requirements.n) as dse_span:
         points = evaluate_classes(
             n=requirements.n,
             area_model=area_model,
             config_model=config_model,
-            jobs=jobs,
             on_error=on_error,
             timeout_s=timeout_s,
             resume=resume,

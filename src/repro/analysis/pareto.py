@@ -88,7 +88,6 @@ def evaluate_classes(
     area_model: "AreaModel | None" = None,
     config_model: "ConfigBitsModel | None" = None,
     classes: "tuple[TaxonomyClass, ...] | None" = None,
-    jobs: int = 1,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -96,10 +95,9 @@ def evaluate_classes(
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
 
-    ``jobs`` fans the per-class model evaluation out through
-    :func:`repro.perf.sweep`; results are identical (and identically
-    ordered) for any job count. Custom models get a private cache so the
-    shared one never mixes parameter sets. ``on_error``/``timeout_s``
+    Each class is one point of a :func:`repro.perf.sweep`. Custom
+    models get a private cache so the shared one never mixes parameter
+    sets. ``on_error``/``timeout_s``
     set the engine's failure policy (failed classes are dropped from the
     result), and ``resume=True`` journals completed classes so an
     interrupted evaluation restarts where it stopped.
@@ -117,11 +115,10 @@ def evaluate_classes(
         "classes": [cls.serial for cls in implementable],
         "models": [repr(area_model), repr(config_model)],
     }
-    with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n, jobs=jobs):
+    with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n):
         result = sweep(
             worker,
             implementable,
-            jobs=jobs,
             on_error=on_error,
             timeout_s=timeout_s,
             journal=("classes", spec) if resume else None,

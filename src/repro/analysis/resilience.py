@@ -123,10 +123,43 @@ def degradation_curve(
     n: int = 16,
     spares: int = 0,
 ) -> tuple[float, ...]:
-    """Throughput at each rate — non-increasing by construction."""
-    return tuple(
-        expected_throughput(signature, rate, n=n, spares=spares) for rate in rates
-    )
+    """Throughput at each rate — non-increasing by construction.
+
+    Bit-identical to :func:`expected_throughput` at every rate, its
+    oracle: the per-signature constants are derived once, and each rate
+    then costs only the same float operations in the same order (a
+    direct site divides by ``1.0``, which is exact).
+    """
+    if rates and (n <= 0 or spares < 0):
+        # The oracle raises for the first rate, in its own check order.
+        return tuple(expected_throughput(signature, rate, n=n, spares=spares) for rate in rates)
+    n_pe = max(signature.dps.resolve(n), 1)
+    remap = can_remap(signature)
+    many = signature.ips.multiplicity is Multiplicity.MANY
+    spare_share = spares / n_pe
+    switched = 4.0 if signature.is_universal_flow else 2.0
+    divisors = []
+    for site in LINK_SITES:
+        kind = signature.link(site).kind
+        if kind is LinkKind.DIRECT:
+            divisors.append(1.0)
+        elif kind is LinkKind.SWITCHED:
+            divisors.append(switched)
+    curve = []
+    for rate in rates:
+        if not 0.0 <= rate <= 1.0:
+            raise FaultError(f"fault rate must lie in [0, 1], got {rate}")
+        if remap:
+            compute = 1.0 - max(0.0, rate - spare_share)
+        elif many:
+            compute = (1.0 - rate) ** 2
+        else:
+            compute = (1.0 - rate) ** n_pe
+        links = 1.0
+        for divisor in divisors:
+            links *= 1.0 - rate / divisor
+        curve.append(compute * links)
+    return tuple(curve)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +211,6 @@ def resilience_sweep(
     n: int = 16,
     spares: int = 0,
     entries: "tuple[SurveyEntry, ...] | None" = None,
-    jobs: int = 1,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -186,9 +218,7 @@ def resilience_sweep(
 ) -> list[ResiliencePoint]:
     """Degradation curves for the whole survey, best-sustained first.
 
-    ``jobs`` runs the per-architecture evaluation through
-    :func:`repro.perf.sweep`; because the engine preserves input order
-    and the final sort is total, any job count yields the same list.
+    Each architecture is one point of a :func:`repro.perf.sweep`.
     ``on_error``/``timeout_s`` set the engine's per-point failure policy
     (points skipped under ``"skip"``/``"retry"`` are dropped from the
     result), and ``resume=True`` journals completed architectures so an
@@ -212,12 +242,10 @@ def resilience_sweep(
         rates=len(rates),
         n=n,
         spares=spares,
-        jobs=jobs,
     ):
         result = sweep(
             worker,
             rows,
-            jobs=jobs,
             on_error=on_error,
             timeout_s=timeout_s,
             journal=("resilience", spec) if resume else None,

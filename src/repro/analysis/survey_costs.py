@@ -92,7 +92,6 @@ def evaluate_survey(
     config_model: "ConfigBitsModel | None" = None,
     energy_model: "EnergyModel | None" = None,
     reconfig_model: "ReconfigurationModel | None" = None,
-    jobs: int = 1,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -102,10 +101,10 @@ def evaluate_survey(
 
     Evaluations go through the :mod:`repro.perf` model cache — two
     architectures sharing a signature and size are priced once — and
-    ``jobs`` fans the records out through the sweep engine with
-    order-preserving results. ``on_error``/``timeout_s`` set the
-    engine's failure policy (failed points are dropped from the result),
-    and ``resume=True`` journals completed records for restartability.
+    each record is one point of a :func:`repro.perf.sweep`.
+    ``on_error``/``timeout_s`` set the engine's failure policy (failed
+    points are dropped from the result), and ``resume=True`` journals
+    completed records for restartability.
     """
     custom = (area_model, config_model, energy_model, reconfig_model)
     records = all_architectures()
@@ -126,12 +125,11 @@ def evaluate_survey(
         "models": [repr(model) for model in custom],
     }
     with _trace.span(
-        "analysis.survey_costs", architectures=len(records), default_n=default_n, jobs=jobs
+        "analysis.survey_costs", architectures=len(records), default_n=default_n
     ):
         result = sweep(
             worker,
             records,
-            jobs=jobs,
             on_error=on_error,
             timeout_s=timeout_s,
             journal=("costs", spec) if resume else None,
@@ -143,20 +141,15 @@ def evaluate_survey(
 def survey_cost_table(
     *,
     default_n: int = 16,
-    jobs: int = 1,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
 ) -> str:
-    """Rendered cost table over the whole survey.
-
-    Byte-identical whether the sweep ran serially or pooled.
-    """
+    """Rendered cost table over the whole survey."""
     from repro.reporting.tables import format_table
 
     points = evaluate_survey(
         default_n=default_n,
-        jobs=jobs,
         on_error=on_error,
         timeout_s=timeout_s,
         resume=resume,

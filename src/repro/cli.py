@@ -31,16 +31,32 @@ __all__ = ["main", "build_parser"]
 #: Figure numbers ``fig`` renders: ``render_fig<N>`` in :mod:`repro.reporting.figures`.
 _FIGURE_NUMBERS = (1, 2, 3, 4, 5, 6, 7)
 
-#: Surfaces removed with the distributed sweep fabric, as
-#: ``(command, name) -> replacement``; using one exits 2 naming both.
-#: ``serve --workers`` (the server's thread count) is not among them.
+#: Removed subcommands and flags, as ``(command, name) -> diagnostic``;
+#: using one exits 2 with that one line. ``serve --workers`` (the
+#: server's thread count) is not among them.
 _REMOVED = {
-    ("sweep-worker", "sweep-worker"): "--jobs N on costs, dse or faults",
-    ("serve", "--fabric-workers"): "--jobs N on costs, dse or faults",
+    ("sweep-worker", "sweep-worker"): (
+        "sweep-worker was removed with the distributed sweep fabric; "
+        "costs, dse and faults run their sweeps in their own process"
+    ),
+    ("serve", "--fabric-workers"): (
+        "--fabric-workers was removed with the distributed sweep fabric; "
+        "serve prices /v1/survey?costs=true in its own process"
+    ),
     **{
-        (command, flag): "--jobs N"
+        (command, flag): (
+            f"{flag} was removed with the distributed sweep fabric; "
+            f"{command} runs its sweep in its own process"
+        )
         for command in ("costs", "dse", "faults")
         for flag in ("--workers", "--supervise", "--max-lease-size", "--rejoin-backoff")
+    },
+    **{
+        (command, "--jobs"): (
+            f"--jobs was removed with the process pool; {command} runs its sweep "
+            "as one serial loop, which was faster than the pool at every measured size"
+        )
+        for command in ("costs", "dse", "faults")
     },
 }
 
@@ -93,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["config", "area", "flex-per-area"],
         default="config",
     )
-    _add_jobs_argument(dse_parser)
     _add_resilience_arguments(dse_parser)
     _add_trace_argument(dse_parser)
     _add_profile_argument(dse_parser)
@@ -105,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=16,
         help="design size for template (n/m/v) architectures (default 16)",
     )
-    _add_jobs_argument(costs_parser)
     _add_resilience_arguments(costs_parser)
     _add_trace_argument(costs_parser)
     _add_profile_argument(costs_parser)
@@ -145,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="artifacts/resilience.csv",
         help="CSV destination ('-' to skip writing)",
     )
-    _add_jobs_argument(faults_parser)
     _add_resilience_arguments(faults_parser)
     _add_trace_argument(faults_parser)
     _add_profile_argument(faults_parser)
@@ -296,19 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--jobs`` flag: sweep parallelism, artifact-invariant.
-
-    Results are byte-identical for every value — the sweep engine
-    preserves input ordering — so ``--jobs`` trades wall-clock only.
-    ``0`` means one worker per core.
-    """
-    parser.add_argument(
-        "--jobs", type=_jobs_count, default=1, metavar="N",
-        help="worker processes for the sweep (default 1 = serial, 0 = all cores)",
-    )
-
-
 def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared sweep-resilience flags: ``--on-error``, ``--timeout``,
     ``--resume``.
@@ -334,14 +334,6 @@ def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "--resume", action="store_true",
         help="journal completed sweep points and skip them on re-run",
     )
-
-
-def _jobs_count(text: str) -> int:
-    """Parse a ``--jobs`` value: any non-negative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -628,7 +620,6 @@ def _run_faults(args: argparse.Namespace) -> int:
         rates,
         n=args.n,
         spares=args.spares,
-        jobs=args.jobs,
         on_error=args.on_error,
         timeout_s=args.timeout,
         resume=args.resume,
@@ -696,7 +687,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         recommendation = explore(
             requirements,
             objective=objective,
-            jobs=args.jobs,
             on_error=args.on_error,
             timeout_s=args.timeout,
             resume=args.resume,
@@ -708,7 +698,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(
             survey_cost_table(
                 default_n=args.n,
-                jobs=args.jobs,
                 on_error=args.on_error,
                 timeout_s=args.timeout,
                 resume=args.resume,
@@ -771,13 +760,9 @@ def _removed_surface(argv: "list[str]") -> "str | None":
     """The diagnostic for a removed subcommand or flag in ``argv``, if any."""
     command = argv[0] if argv else None
     for token in argv:
-        name = token.partition("=")[0]
-        replacement = _REMOVED.get((command, name))
-        if replacement is not None:
-            return (
-                f"{name} was removed with the distributed sweep fabric; "
-                f"use {replacement} for local parallelism"
-            )
+        diagnostic = _REMOVED.get((command, token.partition("=")[0]))
+        if diagnostic is not None:
+            return diagnostic
     return None
 
 
@@ -789,9 +774,8 @@ def main(argv: "list[str] | None" = None) -> int:
     returns exit code 2 (argparse's own usage-error convention), so
     shell pipelines can distinguish "the machine broke" from "the tool
     crashed". Ctrl-C prints one ``interrupted`` line and returns 130
-    (the shell's SIGINT convention) after an orderly pool shutdown —
-    sweep progress journalled under ``--resume`` survives the
-    interrupt. Non-library exceptions still traceback: those are bugs.
+    (the shell's SIGINT convention); sweep progress journalled under
+    ``--resume`` survives the interrupt. Non-library exceptions still traceback: those are bugs.
 
     ``--trace FILE`` (on ``dse``, ``costs``, ``faults`` and ``report``)
     records the whole command as a span tree; the JSON lands in FILE

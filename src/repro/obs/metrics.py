@@ -4,9 +4,8 @@ Where :mod:`repro.obs.trace` answers *where did this run's time go*,
 metrics answer *how much work has this process done so far*: ModelCache
 hits and misses, sweep points evaluated, machine cycles retired. They
 are always on — an increment is one integer add, cheap enough that no
-enable flag is needed — and process-local: worker processes spawned by
-the sweep engine accumulate into their own registries, so the parent's
-numbers cover exactly the work the parent executed.
+enable flag is needed — and process-local: each process (a pre-fork
+serve worker, say) counts only the work it executed.
 
     >>> from repro.obs.metrics import MetricsRegistry
     >>> registry = MetricsRegistry()

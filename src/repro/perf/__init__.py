@@ -1,14 +1,13 @@
-"""Performance substrate: parallel sweeps, caching and resilient execution.
+"""Performance substrate: sweeps, caching and resilient execution.
 
 Every analysis in this package is a *sweep* — the same pure function
 evaluated over a grid of points (25 survey records, 47 taxonomy classes,
 fault-rate ladders, design sizes). :mod:`repro.perf` gives those sweeps
 a shared engine:
 
-* :func:`sweep` — map a function over points, serially (``jobs=1``)
-  or on a process pool (``jobs`` > 1), with deterministic result
-  ordering, per-point timing, failure policies (``on_error``/
-  ``timeout_s``), worker-crash isolation and checkpoint/resume
+* :func:`sweep` — map a function over points in one serial loop, with
+  input-order results, per-point timing, failure policies
+  (``on_error``/``timeout_s``) and checkpoint/resume
   (``journal=(name, spec)``);
 * :class:`SweepCheckpoint` — the append-only journal behind the CLI's
   ``--resume`` flag and of ``/v1/jobs``, keyed by a content hash of
@@ -21,7 +20,7 @@ a shared engine:
 The analysis sweeps (:func:`repro.analysis.resilience.resilience_sweep`,
 :func:`repro.analysis.survey_costs.evaluate_survey`,
 :func:`repro.analysis.pareto.evaluate_classes`) and their CLI
-subcommands (``--jobs N``, ``--on-error``, ``--timeout``, ``--resume``)
+subcommands (``--on-error``, ``--timeout``, ``--resume``)
 are built on this engine; see ``docs/performance.md`` and
 ``docs/robustness.md``. These analyses price their few dozen points
 through :class:`ModelCache` and the scalar models only: at that size the
@@ -41,7 +40,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PointTimeout",
             "RetryPolicy",
             "SweepResult",
-            "resolve_jobs",
             "sweep",
         ),
         "journal": (

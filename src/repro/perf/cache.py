@@ -19,10 +19,8 @@ key of ``(class_id, n, technology)``:
   name, so replacing a node with retuned numbers invalidates entries
   rather than silently serving stale areas.
 
-The cache is per-process. Worker processes spawned by
-:func:`repro.perf.sweep` each hold their own copy — hits there reduce
-per-point compute; hits in the parent accumulate across repeated
-analysis calls (the CLI ``report`` path, the benchmark suite).
+The cache is per-process: hits accumulate across repeated analysis
+calls in one process (the CLI ``report`` path, the benchmark suite).
 """
 
 from __future__ import annotations

@@ -24,8 +24,10 @@ Durability contract:
 * a crash *mid-append* leaves at most one truncated trailing line,
   which the loader detects and drops — the journal is self-healing.
 
-Only ``status == "ok"`` records count as done: failed, timed-out and
-crashed points are journalled for post-mortems but re-run on resume.
+Only ``status == "ok"`` records count as done: failed and timed-out
+points are journalled for post-mortems but re-run on resume, as are
+``"crashed"`` points in journals written while sweeps could run on a
+process pool.
 Values round-trip through pickle (base64-wrapped inside the JSON), so
 restored points are bit-identical to freshly computed ones — the
 property the byte-identical ``--resume`` artifact tests pin down. Treat
@@ -460,6 +462,7 @@ def _decode_record(line: str) -> "JournalEntry | None":
     if record is None or not isinstance(record.get("index"), int):
         return None
     status = record.get("status")
+    # "crashed" is no longer produced, but older journals still carry it.
     if status not in ("ok", "failed", "timed_out", "crashed"):
         return None
     value = None

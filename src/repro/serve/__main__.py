@@ -14,21 +14,22 @@ import sys
 from repro.serve.flags import add_serve_arguments, server_config
 from repro.serve.server import run_server
 
-#: Flags removed with the distributed sweep fabric -> their replacement,
-#: as in ``repro.cli``'s table (not imported here: it would slow start-up).
-_REMOVED = {"--fabric-workers": "--jobs N on repro-taxonomy costs, dse or faults"}
+#: Removed flags -> their diagnostic, as in ``repro.cli``'s table (not
+#: imported here: it would slow start-up).
+_REMOVED = {
+    "--fabric-workers": (
+        "--fabric-workers was removed with the distributed sweep fabric; "
+        "serve prices /v1/survey?costs=true in its own process"
+    ),
+}
 
 
 def main(argv: "list[str] | None" = None) -> int:
     """Parse the ``serve`` flags and serve until signalled."""
     for token in sys.argv[1:] if argv is None else argv:
-        name = token.partition("=")[0]
-        if name in _REMOVED:
-            print(
-                f"error: {name} was removed with the distributed sweep fabric; "
-                f"use {_REMOVED[name]} for local parallelism",
-                file=sys.stderr,
-            )
+        diagnostic = _REMOVED.get(token.partition("=")[0])
+        if diagnostic is not None:
+            print(f"error: {diagnostic}", file=sys.stderr)
             return 2
     parser = argparse.ArgumentParser(prog="python -m repro.serve")
     add_serve_arguments(parser, default_port=0)

@@ -7,6 +7,8 @@ throughput than direct-link classes (IAP-I) at every sampled rate.
 
 import pytest
 
+import math
+
 from repro.analysis import (
     DEFAULT_FAULT_RATES,
     ResiliencePoint,
@@ -18,6 +20,7 @@ from repro.analysis import (
     resilience_csv_rows,
     resilience_sweep,
 )
+from repro.core.batch import structural_signature, valid_structures
 from repro.core.errors import FaultError
 from repro.core.signature import make_signature
 from repro.registry.survey import survey_table
@@ -74,6 +77,50 @@ class TestExpectedThroughput:
         for signature in (_iap_i(), _imp_xvi(), _usp()):
             curve = degradation_curve(signature, DEFAULT_FAULT_RATES)
             assert all(a >= b for a, b in zip(curve, curve[1:]))
+
+
+#: Both ends of the range, a rate with no exact binary form, and a ladder.
+_ORACLE_RATES = (0.0, 1 / 3, 0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.75, 0.999, 1.0)
+
+
+def _bits(values):
+    return tuple(value.hex() for value in values)
+
+
+class TestDegradationCurveOracle:
+    """The hoisted curve equals the scalar oracle, bit for bit."""
+
+    @pytest.mark.parametrize("spares", [0, 3])
+    @pytest.mark.parametrize("n", [1, 16, 64])
+    def test_every_structure_matches_expected_throughput(self, n, spares):
+        structures = valid_structures()
+        assert len(structures) == 406
+        for ips_rank, dps_rank, kinds in structures:
+            signature = structural_signature(ips_rank, dps_rank, kinds)
+            oracle = tuple(
+                expected_throughput(signature, rate, n=n, spares=spares)
+                for rate in _ORACLE_RATES
+            )
+            curve = degradation_curve(signature, _ORACLE_RATES, n=n, spares=spares)
+            assert _bits(curve) == _bits(oracle), signature.describe()
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_out_of_range_rate_mid_ladder_raises_the_oracle_error(self, bad):
+        rates = (0.01, 0.1, bad, 0.2)
+        with pytest.raises(FaultError) as oracle:
+            [expected_throughput(_imp_xvi(), rate) for rate in rates]
+        with pytest.raises(FaultError) as curve:
+            degradation_curve(_imp_xvi(), rates)
+        assert str(curve.value) == str(oracle.value)
+        assert "fault rate must lie in [0, 1]" in str(curve.value)
+
+    @pytest.mark.parametrize("kwargs", [{"n": 0}, {"spares": -1}, {"n": 0, "spares": -1}])
+    def test_bad_size_arguments_raise_the_oracle_error(self, kwargs):
+        with pytest.raises(FaultError) as oracle:
+            expected_throughput(_iap_i(), 0.1, **kwargs)
+        with pytest.raises(FaultError) as curve:
+            degradation_curve(_iap_i(), (0.1, 0.2), **kwargs)
+        assert str(curve.value) == str(oracle.value)
 
 
 class TestCanRemap:

@@ -75,17 +75,17 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
     assert _loaded_after("import repro.serve.__main__", never) == []
 
 
-#: The process pool's modules: only ``--jobs`` > 1 may load them.
+#: The process pool's modules: no CLI command loads them.
 POOL = ("concurrent.futures", "multiprocessing")
 
 
 @pytest.mark.parametrize(
     "argv, never",
     [
-        (["table1"], ("numpy", "networkx", "multiprocessing")),
+        (["table1"], ("numpy", "networkx", *POOL)),
         (
             "classify --ips 1 --dps n --ip-dp 1-n --ip-im 1-1 --dp-dm nxn --dp-dp nxn".split(),
-            ("numpy", "networkx", "multiprocessing"),
+            ("numpy", "networkx", *POOL),
         ),
         (["costs"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),
         (["dse"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),

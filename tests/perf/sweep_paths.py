@@ -1,17 +1,16 @@
-"""The three ways a sweep gets run, for parametrizing engine contracts.
+"""The two ways a sweep gets run, for parametrizing engine contracts.
 
-* ``serial`` — ``jobs=1`` on the main thread: the plain loop, with
-  ``SIGALRM`` deadlines;
-* ``thread`` — ``jobs=1`` called off the main thread, the way a job
-  runner calls it: the plain loop, with watchdog-thread deadlines;
-* ``process`` — ``jobs`` > 1: the process pool.
+* ``serial`` — on the main thread: the plain loop, with ``SIGALRM``
+  deadlines;
+* ``thread`` — called off the main thread, the way a job runner calls
+  it: the plain loop, with watchdog-thread deadlines.
 """
 
 import threading
 
 from repro.perf import sweep
 
-PATHS = ("serial", "thread", "process")
+PATHS = ("serial", "thread")
 
 
 def on_thread(fn, *args, **kwargs):
@@ -34,10 +33,8 @@ def on_thread(fn, *args, **kwargs):
     return payload
 
 
-def sweep_on(path, fn, points, *, jobs, **kwargs):
-    """``sweep(fn, points, ...)`` along ``path``; ``jobs`` applies to the pool."""
-    if path == "process":
-        return sweep(fn, points, jobs=jobs, **kwargs)
+def sweep_on(path, fn, points, **kwargs):
+    """``sweep(fn, points, ...)`` along ``path``."""
     if path == "serial":
         return sweep(fn, points, **kwargs)
     return on_thread(sweep, fn, points, **kwargs)

@@ -78,6 +78,52 @@ class TestRecordCodec:
         assert load_record('{"event": "sta') is None
 
 
+class TestPoolJournals:
+    """Journals written while sweeps could run on a process pool stay readable."""
+
+    #: A ``jobs=2, on_error="skip"`` journal over ``range(8)`` whose point 3
+    #: killed its worker, exactly as that build wrote it.
+    NAME = "chaos-170b29429309ecea.jsonl"
+    HEADER = (
+        '{"format": "repro-sweep-journal/1", "name": "chaos", '
+        '"spec_sha256": "170b29429309ecead7b9380bb66746c9393bfaa5f2dec80238053a53ec04c4cc"}'
+    )
+    RECORDS = (
+        '{"attempts": 1, "crc": 2248479196, "elapsed_s": 2.6311001420253888e-05, "error": null, "index": 0, "status": "ok", "value": "gARLAC4="}',
+        '{"attempts": 1, "crc": 4190865233, "elapsed_s": 2.969001798192039e-06, "error": null, "index": 1, "status": "ok", "value": "gARLAS4="}',
+        '{"attempts": 1, "crc": 337509025, "elapsed_s": 1.8600003386382014e-06, "error": null, "index": 2, "status": "ok", "value": "gARLBC4="}',
+        '{"attempts": 1, "crc": 1888612074, "elapsed_s": 1.6261001292150468e-05, "error": null, "index": 4, "status": "ok", "value": "gARLEC4="}',
+        '{"attempts": 1, "crc": 2694334194, "elapsed_s": 2.553999365773052e-06, "error": null, "index": 5, "status": "ok", "value": "gARLGS4="}',
+        '{"attempts": 1, "crc": 297950450, "elapsed_s": 2.844000846380368e-06, "error": null, "index": 6, "status": "ok", "value": "gARLJC4="}',
+        '{"attempts": 1, "crc": 116095779, "elapsed_s": 3.2339994504582137e-06, "error": null, "index": 7, "status": "ok", "value": "gARLMS4="}',
+        '{"attempts": 1, "crc": 3791846151, "elapsed_s": 0.0, "error": "BrokenProcessPool(\'A process in the process pool was terminated abruptly while the future was running or pending.\')", "index": 3, "status": "crashed", "value": null}',
+    )
+
+    def test_crashed_record_still_decodes(self):
+        from repro.perf.journal import _decode_record
+
+        entry = _decode_record(self.RECORDS[-1])
+        assert (entry.index, entry.status, entry.value) == (3, "crashed", None)
+        assert entry.error.startswith("BrokenProcessPool(")
+
+    def test_resume_recomputes_only_the_crashed_point(self, tmp_path):
+        from repro.perf import sweep
+
+        spec = {"points": 8}
+        lines = (self.HEADER, *self.RECORDS)
+        (tmp_path / self.NAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        recomputed = []
+
+        def square(x):
+            recomputed.append(x)
+            return x * x
+
+        result = sweep(square, range(8), journal=("chaos", spec), checkpoint_dir=tmp_path)
+        assert recomputed == [3]
+        assert list(result) == [x * x for x in range(8)]
+        assert result.resumed == 7
+
+
 class TestFileLock:
     def test_lock_is_exclusive_across_handles_and_releasable(self, tmp_path):
         first, second = FileLock(tmp_path / "x.lock"), FileLock(tmp_path / "x.lock")

@@ -8,6 +8,7 @@ bit-identical to one that never stopped.
 """
 
 import functools
+import math
 import os
 import tempfile
 import time
@@ -59,12 +60,12 @@ def _sleepy_on_three(x):
 
 def test_policy_tuples_are_exported():
     assert ON_ERROR_POLICIES == ("raise", "skip", "retry")
-    assert POINT_STATUSES == ("ok", "failed", "timed_out", "crashed", "skipped")
+    assert POINT_STATUSES == ("ok", "failed", "timed_out", "skipped")
 
 
 @pytest.mark.parametrize("path", PATHS)
 def test_skip_keeps_sweeping_past_failures(path):
-    result = sweep_on(path, _explode_on_odd, range(8), jobs=2, on_error="skip")
+    result = sweep_on(path, _explode_on_odd, range(8), on_error="skip")
     assert list(result) == [x * x if x % 2 == 0 else None for x in range(8)]
     statuses = {o.index: o.status for o in result.outcomes}
     assert all(statuses[x] == ("failed" if x % 2 else "ok") for x in range(8))
@@ -78,7 +79,7 @@ def test_skip_keeps_sweeping_past_failures(path):
 def test_retry_recovers_transient_failures(path, tmp_path, monkeypatch):
     monkeypatch.setattr(engine, "RETRY_POLICY", RetryPolicy(max_retries=3, backoff_s=0.001))
     fn = functools.partial(_succeed_after, marker_dir=str(tmp_path), needed=2)
-    result = sweep_on(path, fn, range(6), jobs=2, on_error="retry")
+    result = sweep_on(path, fn, range(6), on_error="retry")
     assert list(result) == [x * x for x in range(6)]
     assert all(o.status == "ok" for o in result.outcomes)
     assert all(o.attempts == 3 for o in result.outcomes)
@@ -119,7 +120,7 @@ def test_retry_policy_requires_retry_mode(monkeypatch):
         {"on_error": "explode"},
         {"timeout_s": 0.0},
         {"timeout_s": -1.0},
-        {"jobs": -1},
+        {"timeout_s": math.nan, "on_error": "skip"},
     ],
 )
 def test_invalid_policy_arguments_are_rejected(kwargs):
@@ -136,7 +137,6 @@ def test_deadline_times_out_the_slow_point(path):
         path,
         _sleepy_on_three,
         range(5),
-        jobs=2,
         timeout_s=0.15,
         on_error="skip",
     )

@@ -108,20 +108,27 @@ class TestErrorContract:
             ["costs", "--max-lease-size", "8"],
             ["dse", "--rejoin-backoff", "0.5"],
             ["serve", "--fabric-workers", "127.0.0.1:7070"],
+            ["costs", "--jobs", "2"],
+            ["dse", "--jobs=4"],
+            ["faults", "--jobs", "0", "--out", "-"],
         ],
         ids=lambda argv: " ".join(token.partition("=")[0] for token in argv[:2]),
     )
     def test_removed_surface_exits_2(self, capsys, argv):
-        # One error line naming the removed surface and its replacement.
+        # One error line naming the removed surface and why it went.
         name = argv[0] if argv[0] == "sweep-worker" else argv[1].partition("=")[0]
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert f"{name} was removed" in lines[0]
-        assert "--jobs N" in lines[0]
+        assert len(lines) == 1
+        what = "the process pool" if name == "--jobs" else "the distributed sweep fabric"
+        assert lines[0].startswith(f"error: {name} was removed with {what}; ")
+        if name == "--jobs":
+            assert "runs its sweep as one serial loop" in lines[0]
+        else:
+            assert "own process" in lines[0] and "--jobs" not in lines[0]
 
     def test_serve_module_rejects_fabric_workers(self, capsys):
         from repro.serve.__main__ import main as serve_main
@@ -131,7 +138,7 @@ class TestErrorContract:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: --fabric-workers was removed")
-        assert "--jobs N" in lines[0]
+        assert "serve prices /v1/survey?costs=true in its own process" in lines[0]
 
     def test_serve_workers_is_still_the_thread_count(self):
         from repro.cli import build_parser

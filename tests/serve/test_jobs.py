@@ -269,9 +269,20 @@ class TestJobManager:
     def test_drain_interrupts_and_a_new_manager_resumes(self, manager):
         boss = manager()
         record, _ = boss.submit(
-            "population", {"size": "2000", "chunk": "10", "throttle": "0.05"}
+            "population", {"size": "2000", "chunk": "100", "throttle": "0.05"}
         )
+        checkpoints = boss.store.checkpoint_dir(record.job_id)
+
+        def journalled_records():
+            return sum(
+                len(journal.read_text().splitlines()) - 1
+                for journal in checkpoints.glob("*.jsonl")
+            )
+
         wait_for(lambda: boss.store.get(record.job_id).state == "running")
+        # Drain only once the sweep has journalled a chunk, so the
+        # successor has something to resume from.
+        wait_for(lambda: journalled_records() >= 1)
         assert boss.drain(10.0)
         interrupted = boss.store.get(record.job_id)
         assert interrupted.state == "queued"

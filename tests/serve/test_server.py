@@ -20,7 +20,9 @@ def serve():
         server = TaxonomyHTTPServer(
             config if config is not None else ServerConfig(port=0), app=app
         )
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
         running.append((server, thread))
         return server
