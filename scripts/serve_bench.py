@@ -20,9 +20,10 @@ fail CI on a >25% regression against ``benchmarks/baseline_serve.json``.
 
 Usage (what the CI ``serve-bench`` job runs)::
 
-    python scripts/serve_bench.py --min-speedup 3 \
+    python scripts/serve_bench.py --requests 1200 --threads 8 \
+        --min-speedup 3 \
         --gate-out bench-serve-current.json \
-        --out artifacts/serve-bench.json
+        --out artifacts/serve_bench.json
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.core.errors import FaultError, ReproError
-from repro.serve.flags import add_serve_arguments, server_config
+from repro.serve.flags import add_serve_arguments, run_serve
 
 __all__ = ["main", "build_parser"]
 
@@ -403,11 +403,10 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     Blocks until SIGTERM/SIGINT, then drains in-flight requests within
     ``--drain-deadline`` seconds and exits 0 on a clean drain (1 if the
-    deadline expired with work still in flight).
+    deadline expired with work still in flight). A bad flag value or an
+    unbindable address exits 2 with one ``error:`` line.
     """
-    from repro.serve.server import run_server
-
-    return run_server(server_config(args))
+    return run_serve(args)
 
 
 def _jobs_http(url: str, *, method: str = "GET", payload: "dict | None" = None) -> bytes:

@@ -11,8 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.serve.flags import add_serve_arguments, server_config
-from repro.serve.server import run_server
+from repro.serve.flags import add_serve_arguments, run_serve
 
 #: Removed flags -> their diagnostic, as in ``repro.cli``'s table (not
 #: imported here: it would slow start-up).
@@ -33,7 +32,7 @@ def main(argv: "list[str] | None" = None) -> int:
             return 2
     parser = argparse.ArgumentParser(prog="python -m repro.serve")
     add_serve_arguments(parser, default_port=0)
-    return run_server(server_config(parser.parse_args(argv)))
+    return run_serve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

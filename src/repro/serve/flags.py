@@ -1,23 +1,23 @@
 """The one ``serve`` flag table, shared by both entry points.
 
 ``python -m repro.serve`` and ``repro-taxonomy serve`` build their
-arguments from :func:`add_serve_arguments` and their
-:class:`~repro.serve.server.ServerConfig` from :func:`server_config`, so
-the two cannot drift apart. The only difference is the default port: 0
-(ephemeral) for the module entry, 8080 for the CLI. This module imports
-only :mod:`argparse` at load time, so it costs the server's start-up
-nothing.
+arguments from :func:`add_serve_arguments` and serve through
+:func:`run_serve`, so the two cannot drift apart. The only difference
+is the default port: 0 (ephemeral) for the module entry, 8080 for the
+CLI. This module imports only :mod:`argparse` and :mod:`sys` at load
+time, so it costs the server's start-up nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
 
-__all__ = ["add_serve_arguments", "server_config"]
+__all__ = ["add_serve_arguments", "run_serve", "server_config"]
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -> None:
@@ -155,3 +155,30 @@ def server_config(args: argparse.Namespace) -> "ServerConfig":
         job_ttl_s=args.job_ttl,
         job_poll_s=args.job_poll,
     )
+
+
+def run_serve(args: argparse.Namespace) -> int:
+    """Serve with the parsed ``serve`` flags until signalled; the exit code.
+
+    A value the config or the app rejects (``ValueError`` or
+    ``ReproError``) and an address that cannot be bound (``OSError``,
+    ``OverflowError``) print one ``error: <message>`` line on stderr and
+    return 2, before anything reaches stdout. Once the server is
+    accepting, errors propagate.
+    """
+    from repro.core.errors import ReproError
+    from repro.serve import server
+
+    accepting = False
+
+    def ready(_: object) -> None:
+        nonlocal accepting
+        accepting = True
+
+    try:
+        return server.run_server(server_config(args), ready=ready)
+    except (ValueError, ReproError, OSError, OverflowError) as error:
+        if accepting:
+            raise
+        print(f"error: {error}", file=sys.stderr)
+        return 2

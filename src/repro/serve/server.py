@@ -80,7 +80,27 @@ if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.perf.cache import ModelCache
 
-__all__ = ["ServerConfig", "ServiceApp", "TaxonomyHTTPServer", "run_server"]
+__all__ = [
+    "SERVE_SWITCH_INTERVAL_S",
+    "ServerConfig",
+    "ServiceApp",
+    "TaxonomyHTTPServer",
+    "run_server",
+]
+
+#: The interpreter switch interval (s) :func:`run_server` serves with.
+#: Every thread of a serving process shares one interpreter lock, and a
+#: thread waiting for it may take it from a running one only after
+#: ``sys.getswitchinterval()`` (CPython's default is 5 ms). A single
+#: request needs the lock several times (socket wake-up, hand-off to
+#: the pool, return, response write), so next to a running batch the
+#: 5 ms default set its latency: ~5.8 ms median against ~0.7 ms idle.
+#: 0.5 ms brings that to ~1.4 ms. A forced switch happens only while a
+#: second thread waits for the lock; two CPU-bound batches running at
+#: once swap it every interval and lose ~14% of their throughput (22%
+#: at 0.25 ms). See docs/serving.md section 11. Not a flag: no
+#: deployment needs another value.
+SERVE_SWITCH_INTERVAL_S = 0.0005
 
 
 _REQUESTS = _metrics.REGISTRY.counter("serve.requests", help="HTTP requests received")
@@ -175,6 +195,16 @@ class ServerConfig:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
+        # The pool's and the limiter's own checks, made here too so a
+        # pre-fork parent refuses them before it forks any worker.
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.queue_depth < 0:
+            raise ValueError(f"queue_depth must be >= 0, got {self.queue_depth}")
+        if self.rate < 0:
+            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        if self.rate > 0 and self.burst is not None and self.burst < 1:
+            raise ValueError(f"burst must be >= 1, got {self.burst}")
         if self.keepalive_requests < 0:
             raise ValueError(
                 f"keepalive_requests must be >= 0, got {self.keepalive_requests}"
@@ -733,6 +763,9 @@ def run_server(
     first accept — used by tests and the smoke script to learn the
     ephemeral port. ``announce=False`` silences the "listening on" and
     drain-outcome lines (the pre-fork parent speaks for its workers).
+    From the bind to the end of the drain the process runs with
+    :data:`SERVE_SWITCH_INTERVAL_S`; the caller's interval is restored
+    on every exit.
 
     With ``config.processes > 1`` this delegates to
     :func:`repro.serve.prefork.run_prefork`, which forks that many
@@ -747,24 +780,29 @@ def run_server(
     server = TaxonomyHTTPServer(config)
     app = server.app
     install_signal_handlers(app.drain)
-    if announce:
-        print(f"listening on {server.url}", flush=True)
-    if ready is not None:
-        ready(server)
+    previous_interval = sys.getswitchinterval()
+    sys.setswitchinterval(SERVE_SWITCH_INTERVAL_S)
     try:
-        server.serve_forever(poll_interval=0.05)
+        if announce:
+            print(f"listening on {server.url}", flush=True)
+        if ready is not None:
+            ready(server)
+        try:
+            server.serve_forever(poll_interval=0.05)
+        finally:
+            server.server_close()
+        # serve_forever only returns once a drain has begun and the
+        # listener stopped accepting; give in-flight requests their budget.
+        drained = app.drain.wait_drained(config.drain_s)
+        pool_clean = app.pool.shutdown(drain_s=config.drain_s)
+        if app.jobs is not None:
+            # Interrupt running jobs back to ``queued`` (checkpoints intact)
+            # so whoever opens the store next resumes rather than restarts.
+            pool_clean = app.jobs.drain(max(config.drain_s, 0.1)) and pool_clean
+        if app.fleet is not None:
+            app.fleet.close()
     finally:
-        server.server_close()
-    # serve_forever only returns once a drain has begun and the
-    # listener stopped accepting; give in-flight requests their budget.
-    drained = app.drain.wait_drained(config.drain_s)
-    pool_clean = app.pool.shutdown(drain_s=config.drain_s)
-    if app.jobs is not None:
-        # Interrupt running jobs back to ``queued`` (checkpoints intact)
-        # so whoever opens the store next resumes rather than restarts.
-        pool_clean = app.jobs.drain(max(config.drain_s, 0.1)) and pool_clean
-    if app.fleet is not None:
-        app.fleet.close()
+        sys.setswitchinterval(previous_interval)
     leftover = app.drain.inflight
     if drained and pool_clean:
         if announce:

@@ -1,5 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import signal
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -9,6 +12,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _serve(monkeypatch, entry, argv, *, guard=True):
+    """Run ``serve`` through one entry point; ``guard`` fails instead of serving."""
+    from repro.serve.__main__ import main as module_main
+    from repro.serve.server import TaxonomyHTTPServer
+
+    if guard:
+        def serve_forever(self, poll_interval=0.5):
+            raise AssertionError("a bad flag value reached serve_forever")
+
+        monkeypatch.setattr(TaxonomyHTTPServer, "serve_forever", serve_forever)
+    return main(["serve", *argv]) if entry == "cli" else module_main(argv)
 
 
 class TestTables:
@@ -144,6 +160,75 @@ class TestErrorContract:
         from repro.cli import build_parser
 
         assert build_parser().parse_args(["serve", "--workers", "2"]).workers == 2
+
+    @pytest.mark.parametrize("entry", ["cli", "module"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--workers", "0"],
+            ["--queue-depth", "-1"],
+            ["--deadline", "0"],
+            ["--rate", "-1"],
+            ["--rate", "5", "--burst", "0"],
+            ["--cache-size", "-5"],
+            ["--processes", "0"],
+            ["--keepalive-requests", "-1"],
+            ["--keepalive-idle", "0"],
+            ["--drain-deadline", "-1"],
+            ["--breaker-failures", "0"],
+            ["--breaker-recovery", "-1"],
+            ["--fault-seed", "1", "--fault-rate", "2"],
+            ["--jobs-dir", "{tmp}", "--job-poll", "0"],
+            ["--processes", "2", "--workers", "0"],
+            ["--port", "70000"],
+            ["--host", "999.1.1.1"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_serve_flag_exits_2_before_any_output(
+        self, capsys, monkeypatch, tmp_path, entry, argv
+    ):
+        argv = [token.replace("{tmp}", str(tmp_path)) for token in argv]
+        assert _serve(monkeypatch, entry, argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("entry", ["cli", "module"])
+    @pytest.mark.parametrize("processes", ["1", "2"])
+    def test_serve_on_a_bound_port_exits_2(self, capsys, monkeypatch, entry, processes):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            port = str(held.getsockname()[1])
+            code = _serve(monkeypatch, entry, ["--port", port, "--processes", processes])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "in use" in lines[0]
+
+    @pytest.mark.parametrize("entry", ["cli", "module"])
+    def test_serve_errors_after_the_first_accept_propagate(self, monkeypatch, entry):
+        from repro.serve.server import TaxonomyHTTPServer
+
+        servers = []
+
+        def fail(self, poll_interval=0.5):
+            servers.append(self)
+            raise OSError("lost the listener")
+
+        monkeypatch.setattr(TaxonomyHTTPServer, "serve_forever", fail)
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            with pytest.raises(OSError, match="lost the listener"):
+                _serve(monkeypatch, entry, ["--port", "0"], guard=False)
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        assert servers[0].app.shutdown(drain_s=1.0)
 
     @pytest.mark.parametrize("rates", ["nan", "2", "-0.1", "0.1,x"])
     def test_bad_faults_rates_exit_2_before_any_output(self, capsys, rates):

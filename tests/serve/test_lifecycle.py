@@ -15,7 +15,13 @@ from repro.faults import FaultPlan
 from repro.serve.breaker import BreakerPolicy
 from repro.serve.errors import DrainingError
 from repro.serve.lifecycle import DrainController, install_signal_handlers
-from repro.serve.server import ServerConfig, ServiceApp, run_server
+from repro.serve.server import (
+    SERVE_SWITCH_INTERVAL_S,
+    ServerConfig,
+    ServiceApp,
+    TaxonomyHTTPServer,
+    run_server,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -279,15 +285,16 @@ class TestRunServer:
 
     def test_module_main_builds_config_from_flags(self, monkeypatch):
         """``python -m repro.serve`` flag parsing, without binding a port."""
+        import repro.serve.server as server_module
         from repro.serve import __main__ as module_main
 
         seen = {}
 
-        def fake_run_server(config):
+        def fake_run_server(config, **_):
             seen["config"] = config
             return 0
 
-        monkeypatch.setattr(module_main, "run_server", fake_run_server)
+        monkeypatch.setattr(server_module, "run_server", fake_run_server)
         assert module_main.main(
             ["--port", "0", "--workers", "3", "--fault-seed", "7", "--rate", "2.5"]
         ) == 0
@@ -309,11 +316,10 @@ class TestRunServer:
 
         configs = []
 
-        def fake_run_server(config):
+        def fake_run_server(config, **_):
             configs.append(config)
             return 0
 
-        monkeypatch.setattr(module_main, "run_server", fake_run_server)
         monkeypatch.setattr(server_module, "run_server", fake_run_server)
         flags = [
             "--burst", "3", "--breaker-failures", "2", "--breaker-recovery", "0.5",
@@ -328,6 +334,65 @@ class TestRunServer:
         # The default port is the one difference: ephemeral vs 8080.
         assert (module_config.port, cli_config.port) == (0, 8080)
         assert module_config == dataclasses.replace(cli_config, port=0)
+
+
+class TestSwitchInterval:
+    """``run_server`` serves with a short switch interval and restores the caller's."""
+
+    CALLER_S = 0.003
+
+    @pytest.fixture(autouse=True)
+    def caller_interval(self):
+        original = sys.getswitchinterval()
+        sys.setswitchinterval(self.CALLER_S)
+        yield
+        sys.setswitchinterval(original)
+
+    @pytest.fixture
+    def main_thread_signals(self):
+        """Put back the SIGTERM/SIGINT handlers ``run_server`` installs."""
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        yield
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+
+    def test_serves_with_the_constant_and_restores_after_a_sigterm_drain(
+        self, main_thread_signals
+    ):
+        seen = []
+
+        def ready(server):
+            seen.append(sys.getswitchinterval())
+            signal.raise_signal(signal.SIGTERM)
+
+        assert run_server(ServerConfig(port=0, workers=1), ready=ready, announce=False) == 0
+        assert seen == [pytest.approx(SERVE_SWITCH_INTERVAL_S)]
+        assert sys.getswitchinterval() == pytest.approx(self.CALLER_S)
+
+    def test_restores_the_callers_interval_when_serving_raises(
+        self, monkeypatch, main_thread_signals
+    ):
+        servers = []
+
+        def fail(self, poll_interval=0.5):
+            servers.append(self)
+            raise RuntimeError("listener lost")
+
+        monkeypatch.setattr(TaxonomyHTTPServer, "serve_forever", fail)
+        with pytest.raises(RuntimeError, match="listener lost"):
+            run_server(ServerConfig(port=0, workers=1), announce=False)
+        assert sys.getswitchinterval() == pytest.approx(self.CALLER_S)
+        assert servers[0].app.shutdown(drain_s=1.0)
+
+    def test_embedded_app_and_server_leave_the_interval_alone(self):
+        app = ServiceApp(ServerConfig(workers=1))
+        server = TaxonomyHTTPServer(ServerConfig(port=0, workers=1))
+        try:
+            assert sys.getswitchinterval() == pytest.approx(self.CALLER_S)
+        finally:
+            server.server_close()
+            assert server.app.shutdown(drain_s=1.0)
+            assert app.shutdown(drain_s=1.0)
 
 
 class TestChaos:
