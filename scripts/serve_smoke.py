@@ -9,9 +9,10 @@ This is the CI serve-smoke step. It:
 2. drives ``scripts/loadgen.py`` against it with keep-alive connection
    reuse (default 200 requests) and writes the latency summary artifact;
 3. exercises the full data plane: asserts connections were actually
-   reused, posts one batch request, checks ``/v1/readyz`` reports every
-   pre-forked worker, and checks ``/v1/metrics`` shows a nonzero
-   response-cache hit count;
+   reused, posts one batch request, prices the survey once
+   (``/v1/survey?costs=true``: 25 architectures, each with ``costs``),
+   checks ``/v1/readyz`` reports every pre-forked worker, and checks
+   ``/v1/metrics`` shows a nonzero response-cache hit count;
 4. exercises the async job plane (the server boots with ``--jobs-dir``):
    a few submit/poll/result round-trips with idempotent-retry dedupe,
    and — when pre-forked — a SIGKILL of one worker mid-job, asserting
@@ -88,6 +89,20 @@ def check_batch(url: str, failures: "list[str]") -> None:
         failures.append(f"batch request misbehaved: {payload}")
     else:
         print(f"batch POST ok ({payload['count']} items, 0 errors)")
+
+
+def check_survey_costs(url: str, failures: "list[str]") -> None:
+    """``/v1/survey?costs=true`` must price all 25 surveyed architectures."""
+    status, payload = _json_request(f"{url}/v1/survey?costs=true", timeout_s=30.0)
+    architectures = payload.get("architectures", [])
+    priced = sum("costs" in row for row in architectures)
+    if status != 200 or payload.get("count") != 25 or priced != len(architectures):
+        failures.append(
+            f"survey costing misbehaved: status {status}, count "
+            f"{payload.get('count')}, {priced}/{len(architectures)} priced"
+        )
+    else:
+        print("survey costs ok (25 architectures, each with costs)")
 
 
 def check_fleet(url: str, processes: int, failures: "list[str]") -> None:
@@ -255,6 +270,7 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"p99 latency {p99_ms}ms exceeds the {args.max_p99_ms}ms bound"
             )
         check_batch(url, failures)
+        check_survey_costs(url, failures)
         check_fleet(url, args.processes, failures)
         check_cache_hits(url, failures)
         check_jobs(url, failures)

@@ -24,7 +24,7 @@ import argparse
 import sys
 
 from repro.core.errors import FaultError, ReproError
-from repro.serve.flags import add_serve_arguments, run_serve
+from repro.serve.flags import REMOVED_FLAGS, add_serve_arguments, run_serve
 
 __all__ = ["main", "build_parser"]
 
@@ -32,17 +32,16 @@ __all__ = ["main", "build_parser"]
 _FIGURE_NUMBERS = (1, 2, 3, 4, 5, 6, 7)
 
 #: Removed subcommands and flags, as ``(command, name) -> diagnostic``;
-#: using one exits 2 with that one line. ``serve --workers`` (the
-#: server's thread count) is not among them.
+#: using one exits 2 with that one line. ``serve``'s come from
+#: :data:`repro.serve.flags.REMOVED_FLAGS`, which ``python -m
+#: repro.serve`` reads too. ``serve --workers`` (the server's thread
+#: count) is not among them.
 _REMOVED = {
     ("sweep-worker", "sweep-worker"): (
         "sweep-worker was removed with the distributed sweep fabric; "
         "costs, dse and faults run their sweeps in their own process"
     ),
-    ("serve", "--fabric-workers"): (
-        "--fabric-workers was removed with the distributed sweep fabric; "
-        "serve prices /v1/survey?costs=true in its own process"
-    ),
+    **{("serve", flag): diagnostic for flag, diagnostic in REMOVED_FLAGS.items()},
     **{
         (command, flag): (
             f"{flag} was removed with the distributed sweep fabric; "

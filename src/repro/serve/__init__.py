@@ -4,8 +4,7 @@ A dependency-free HTTP service (stdlib ``http.server``) exposing the
 paper's pipeline as JSON endpoints, built for overload rather than for
 the happy path: bounded worker pool behind an explicit admission queue,
 token-bucket rate limiting, per-request deadlines that cancel queued
-work, a deterministic circuit breaker around sweep-backed queries, and
-a graceful SIGTERM/SIGINT drain. The data plane adds HTTP/1.1
+work, and a graceful SIGTERM/SIGINT drain. The data plane adds HTTP/1.1
 keep-alive, a bounded response cache over the pure endpoints, batch
 ``{"items": [...]}`` bodies, and an optional pre-fork multi-process
 front end sharing one port via ``SO_REUSEPORT`` with fleet-aggregated
@@ -19,7 +18,6 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "breaker": ("BreakerPolicy", "BreakerState", "CircuitBreaker"),
         "cache": ("CACHEABLE_PATHS", "ResponseCache"),
         "errors": (
             "ServeError",
@@ -29,7 +27,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "ConflictError",
             "RateLimitedError",
             "OverloadedError",
-            "BreakerOpenError",
             "DrainingError",
             "DeadlineExceededError",
             "InternalError",

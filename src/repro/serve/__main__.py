@@ -11,22 +11,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.serve.flags import add_serve_arguments, run_serve
-
-#: Removed flags -> their diagnostic, as in ``repro.cli``'s table (not
-#: imported here: it would slow start-up).
-_REMOVED = {
-    "--fabric-workers": (
-        "--fabric-workers was removed with the distributed sweep fabric; "
-        "serve prices /v1/survey?costs=true in its own process"
-    ),
-}
+from repro.serve.flags import REMOVED_FLAGS, add_serve_arguments, run_serve
 
 
 def main(argv: "list[str] | None" = None) -> int:
     """Parse the ``serve`` flags and serve until signalled."""
     for token in sys.argv[1:] if argv is None else argv:
-        diagnostic = _REMOVED.get(token.partition("=")[0])
+        diagnostic = REMOVED_FLAGS.get(token.partition("=")[0])
         if diagnostic is not None:
             print(f"error: {diagnostic}", file=sys.stderr)
             return 2

@@ -17,7 +17,7 @@ Design points the tests pin down:
 * **bounded** — capacity is a hard entry cap; insertion beyond it
   evicts least-recently-used entries, counted in ``serve.cache_evictions``;
 * **only successes** — non-200 responses are never stored, so shed load
-  (429/503), deadline 504s and breaker trips cannot poison the cache;
+  (429/503) and deadline 504s cannot poison the cache;
 * **observable** — hits/misses/evictions feed both the process-wide
   :mod:`repro.obs` registry (``/v1/metrics``) and per-instance stats
   (``/v1/readyz`` fleet health).
@@ -44,10 +44,10 @@ _EVICTIONS = _metrics.REGISTRY.counter(
     "serve.cache_evictions", help="response-cache LRU evictions (capacity pressure)"
 )
 
-#: Endpoints whose 200 responses are pure functions of their parameters.
-#: ``/v1/survey`` is deliberately absent: ``costs=true`` runs behind the
-#: circuit breaker (and under chaos injection), and caching it would
-#: mask exactly the failures the breaker exists to surface.
+#: Endpoints whose 200 responses are cached. ``/v1/survey`` answers are
+#: pure functions of their parameters too, but the endpoint is left out:
+#: an uncached ``costs=true`` body takes ~2 ms, and no measured workload
+#: repeats it often enough to pay for holding a 25-record body per ``n``.
 CACHEABLE_PATHS: tuple[str, ...] = ("/v1/classify", "/v1/costs")
 
 

@@ -24,7 +24,6 @@ from repro.core.errors import (
     CapabilityError,
     ClassificationError,
     ConfigurationError,
-    FaultError,
     NamingError,
     ProgramError,
     RegistryError,
@@ -41,7 +40,6 @@ __all__ = [
     "ConflictError",
     "RateLimitedError",
     "OverloadedError",
-    "BreakerOpenError",
     "DrainingError",
     "DeadlineExceededError",
     "InternalError",
@@ -54,8 +52,8 @@ class ServeError(ReproError):
 
     ``status`` is the HTTP status code, ``code`` the stable token
     clients should branch on (status codes are shared by several
-    distinct conditions — 503 covers overload, breaker-open and
-    draining — but ``code`` never is).
+    distinct conditions — 503 covers overload and draining — but
+    ``code`` never is).
     """
 
     status: int = 500
@@ -141,17 +139,6 @@ class OverloadedError(ServeError):
         self.retry_after_s = retry_after_s
 
 
-class BreakerOpenError(ServeError):
-    """The circuit breaker is open for this dependency."""
-
-    status = 503
-    code = "breaker_open"
-
-    def __init__(self, message: str, *, retry_after_s: "float | None" = None):
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
 class DrainingError(ServeError):
     """The server received SIGTERM/SIGINT and no longer admits work."""
 
@@ -194,9 +181,9 @@ def as_serve_error(error: BaseException) -> ServeError:
     * request-shaped library errors become 400s (or 404 for registry
       misses) carrying the library's own message — those messages are
       user-facing by design;
-    * everything else (including injected :class:`FaultError` chaos)
-      becomes a sanitised 500 that names the exception type only, so
-      no internal detail or traceback ever reaches the wire.
+    * everything else becomes a sanitised 500 that names the exception
+      type only, so no internal detail or traceback ever reaches the
+      wire.
     """
     if isinstance(error, ServeError):
         return error
@@ -204,6 +191,4 @@ def as_serve_error(error: BaseException) -> ServeError:
         return NotFoundError(str(error))
     if isinstance(error, _CLIENT_ERRORS):
         return BadRequestError(str(error))
-    if isinstance(error, FaultError):
-        return InternalError(f"upstream fault: {error}")
     return InternalError(f"internal error: {type(error).__name__}")

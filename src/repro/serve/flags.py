@@ -5,7 +5,9 @@ arguments from :func:`add_serve_arguments` and serve through
 :func:`run_serve`, so the two cannot drift apart. The only difference
 is the default port: 0 (ephemeral) for the module entry, 8080 for the
 CLI. This module imports only :mod:`argparse` and :mod:`sys` at load
-time, so it costs the server's start-up nothing.
+time, so it costs the server's start-up nothing; that is also why
+:data:`REMOVED_FLAGS`, the diagnostics for flags ``serve`` no longer
+takes, lives here for both entry points to read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,22 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.serve.server import ServerConfig
 
-__all__ = ["add_serve_arguments", "run_serve", "server_config"]
+__all__ = ["REMOVED_FLAGS", "add_serve_arguments", "run_serve", "server_config"]
+
+#: Flags ``serve`` no longer takes -> the one-line diagnostic naming why.
+REMOVED_FLAGS = {
+    "--fabric-workers": (
+        "--fabric-workers was removed with the distributed sweep fabric; "
+        "serve prices /v1/survey?costs=true in its own process"
+    ),
+    **{
+        flag: (
+            f"{flag} was removed with the circuit breaker; /v1/survey?costs=true "
+            "is deterministic arithmetic and runs unguarded"
+        )
+        for flag in ("--breaker-failures", "--breaker-recovery", "--fault-seed", "--fault-rate")
+    },
+}
 
 
 def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -> None:
@@ -73,22 +90,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -
         help="seconds granted to in-flight requests on SIGTERM/SIGINT (default 5)",
     )
     parser.add_argument(
-        "--breaker-failures", type=int, default=5,
-        help="consecutive failures that open the circuit breaker (default 5)",
-    )
-    parser.add_argument(
-        "--breaker-recovery", type=float, default=1.0, metavar="S",
-        help="base breaker recovery interval in seconds (default 1.0)",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=None,
-        help="inject a seeded chaos FaultPlan into sweep-backed handlers",
-    )
-    parser.add_argument(
-        "--fault-rate", type=float, default=0.1,
-        help="per-resource fault rate for --fault-seed (default 0.1)",
-    )
-    parser.add_argument(
         "--log-requests", action="store_true",
         help="emit one access-log line per request to stderr",
     )
@@ -115,22 +116,9 @@ def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -
 
 
 def server_config(args: argparse.Namespace) -> "ServerConfig":
-    """The :class:`~repro.serve.server.ServerConfig` parsed ``serve`` flags ask for.
-
-    ``--fault-seed`` arms a deterministic chaos plan against the
-    sweep-backed handlers, so the circuit breaker and ``/v1/readyz``
-    behaviour can be demonstrated without real failures.
-    """
-    from repro.serve.breaker import BreakerPolicy
+    """The :class:`~repro.serve.server.ServerConfig` parsed ``serve`` flags ask for."""
     from repro.serve.server import ServerConfig
 
-    fault_plan = None
-    if args.fault_seed is not None:
-        from repro.faults.plan import FaultPlan
-
-        fault_plan = FaultPlan.random(
-            args.fault_seed, args.fault_rate, n_pes=64, horizon=64
-        )
     return ServerConfig(
         host=args.host,
         port=args.port,
@@ -141,11 +129,6 @@ def server_config(args: argparse.Namespace) -> "ServerConfig":
         rate=args.rate,
         burst=args.burst,
         drain_s=args.drain_deadline,
-        breaker=BreakerPolicy(
-            failure_threshold=args.breaker_failures,
-            recovery_s=args.breaker_recovery,
-        ),
-        fault_plan=fault_plan,
         log_requests=args.log_requests,
         keepalive_requests=args.keepalive_requests,
         keepalive_idle_s=args.keepalive_idle,

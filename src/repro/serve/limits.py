@@ -44,8 +44,8 @@ _CANCELLED = _metrics.REGISTRY.counter(
 class Deadline:
     """A monotonic time budget: ``deadline = now + budget_s``.
 
-    ``None`` budget means unbounded. The clock is injectable so breaker
-    and deadline behaviour can be tested without sleeping.
+    ``None`` budget means unbounded. The clock is injectable so deadline
+    behaviour can be tested without sleeping.
     """
 
     __slots__ = ("budget_s", "_clock", "_expires_at")

@@ -27,9 +27,16 @@ matter which worker a scrape lands on. On platforms without ``fork``
 or ``SO_REUSEPORT`` the front end degrades to a single process with a
 warning rather than failing to start.
 
-The parent also *supervises*: a worker that dies outside a drain
-(segfault, OOM kill, SIGKILL chaos) is respawned onto the same shared
-port, under a per-slot restart-rate limit (``config.respawn_max``
+A worker that cannot start (a jobs directory it cannot create, …)
+writes its error text into the readiness pipe instead of the ready
+byte. At boot the parent then drains the workers that did start,
+prints one ``error: <message>`` line and returns 2, as a single
+process would. It never respawns a worker that failed before it was
+ready; a respawned worker that fails so gives up its slot.
+
+The parent also *supervises*: a worker that dies outside a drain after
+it was ready (segfault, OOM kill, SIGKILL chaos) is respawned onto the
+same shared port, under a per-slot restart-rate limit (``config.respawn_max``
 respawns inside ``config.respawn_window_s``) so a crash-looping
 workload degrades the fleet instead of forking forever. Respawn counts
 are published to ``fleet_dir/respawns.json``, which every worker
@@ -54,6 +61,10 @@ from repro.core.atomicio import atomic_write_text
 from repro.serve.server import ServerConfig, TaxonomyHTTPServer, run_server
 
 __all__ = ["run_prefork", "supports_prefork"]
+
+#: What a worker writes into its readiness pipe once it is accepting;
+#: anything else it writes there is the error that stopped it starting.
+_READY = b"1"
 
 
 def supports_prefork() -> bool:
@@ -84,10 +95,11 @@ def _spawn_worker(
 ) -> "tuple[int, int]":
     """Fork one worker; returns ``(pid, readiness_read_fd)``.
 
-    The worker writes one byte to the readiness pipe the moment its
-    listener is bound and about to accept, then serves until signalled.
-    It always leaves through ``os._exit`` so a worker crash can never
-    fall back into the parent's stack.
+    The worker writes :data:`_READY` to the readiness pipe the moment
+    its listener is bound and about to accept, then serves until
+    signalled. If it fails before that, it writes the error's text there
+    instead and exits 2. It always leaves through ``os._exit`` so a
+    worker crash can never fall back into the parent's stack.
     """
     read_fd, write_fd = os.pipe()
     pid = os.fork()
@@ -96,18 +108,25 @@ def _spawn_worker(
         return pid, read_fd
     # worker: nothing below may return into the caller's frames.
     status = 1
+    accepting = False
     try:
         os.close(read_fd)
         probe.close()
 
         def ready(server: TaxonomyHTTPServer) -> None:
             """Signal the parent that this worker is accepting."""
-            os.write(write_fd, b"1")
+            nonlocal accepting
+            os.write(write_fd, _READY)
             os.close(write_fd)
+            accepting = True
 
         status = run_server(worker_config, ready=ready, announce=False)
     except BaseException as error:  # noqa: BLE001 - worker's last words
-        print(f"worker {os.getpid()} crashed: {error}", file=sys.stderr)
+        if accepting:
+            print(f"worker {os.getpid()} crashed: {error}", file=sys.stderr)
+        else:
+            status = 2
+            os.write(write_fd, (str(error) or type(error).__name__).encode())
     finally:
         os._exit(status)
     raise AssertionError("unreachable")  # pragma: no cover
@@ -118,7 +137,8 @@ def run_prefork(config: ServerConfig) -> int:
 
     Blocks until every worker has exited (normally after a forwarded
     SIGTERM/SIGINT triggered their drains). Returns 0 only when every
-    worker drained cleanly.
+    worker drained cleanly, and 2 with one ``error:`` line when a worker
+    failed to start.
     """
     if config.processes < 2:
         return run_server(config)
@@ -166,20 +186,24 @@ def run_prefork(config: ServerConfig) -> int:
         signal.signal(signal.SIGTERM, forward)
         signal.signal(signal.SIGINT, forward)
 
-        # A worker that dies before binding closes its pipe unwritten;
-        # announce only once every worker reported in (or gave up).
-        ready_count = 0
-        for read_fd in ready_fds:
-            if os.read(read_fd, 1):
-                ready_count += 1
+        # Announce only once every worker reported in. The first one
+        # that failed to start fails the fleet: drain the rest, exit 2.
+        startup_error = None
+        for pid, read_fd in zip(list(live), ready_fds):
+            word = _read_to_end(read_fd)
             os.close(read_fd)
-        if ready_count == len(live):
-            print(f"listening on http://{config.host}:{port}", flush=True)
-        else:
-            print(
-                f"warning: only {ready_count}/{len(live)} workers came up",
-                file=sys.stderr,
-            )
+            if word != _READY and startup_error is None:
+                startup_error = (
+                    word.decode(errors="replace")
+                    or f"worker {pid} exited before it was ready"
+                )
+        if startup_error is not None:
+            forward(signal.SIGTERM, None)
+            for pid in live:
+                os.waitpid(pid, 0)
+            print(f"error: {startup_error}", file=sys.stderr)
+            return 2
+        print(f"listening on http://{config.host}:{port}", flush=True)
 
         failures = 0
         while live:
@@ -214,8 +238,19 @@ def run_prefork(config: ServerConfig) -> int:
                 continue
             window.append(now)
             new_pid, read_fd = _spawn_worker(worker_config, probe)
-            os.read(read_fd, 1)
+            word = _read_to_end(read_fd)
             os.close(read_fd)
+            if word != _READY:
+                # A start-up failure repeats on every respawn: stop here.
+                reason = word.decode(errors="replace") or "it exited before it was ready"
+                print(
+                    f"worker slot {slot} failed to restart: {reason}; giving up on it",
+                    file=sys.stderr,
+                )
+                ledger["given_up"] += 1
+                _write_respawn_ledger(fleet_dir, ledger)
+                failures += 1
+                continue
             live[new_pid] = slot
             ledger["respawns"] += 1
             _write_respawn_ledger(fleet_dir, ledger)
@@ -240,6 +275,14 @@ def run_prefork(config: ServerConfig) -> int:
         file=sys.stderr,
     )
     return 1
+
+
+def _read_to_end(fd: int) -> bytes:
+    """Everything written to the pipe ``fd`` until its writer closed it."""
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def _write_respawn_ledger(fleet_dir: str, ledger: "dict[str, int]") -> None:

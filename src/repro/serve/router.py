@@ -15,9 +15,9 @@ Endpoints (all under ``/v1``):
   and reconfiguration companions) for a taxonomy class at a size and
   technology node, served through the shared :class:`ModelCache`.
 * ``survey`` — the 25 Table-III records with derived classifications;
-  ``?costs=true`` adds model estimates via the circuit-broken sweep.
-* ``healthz`` / ``readyz`` — liveness vs readiness (drain and breaker
-  state flip readiness, never liveness).
+  ``?costs=true`` adds the Eq. 1 / Eq. 2 estimates of each record.
+* ``healthz`` / ``readyz`` — liveness vs readiness (a drain flips
+  readiness, never liveness).
 * ``metrics`` — the :mod:`repro.obs` registry in Prometheus text form.
 """
 
@@ -26,16 +26,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.core.classify import classify
-from repro.core.errors import ClassificationError, FaultError, NamingError
+from repro.core.errors import ClassificationError, NamingError
 from repro.core.signature import make_signature
 from repro.core.taxonomy import class_by_name, class_by_serial
 from repro.models.technology import NODES
 from repro.obs import metrics as _metrics
 from repro.perf.cache import ModelCache
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.errors import (
     BadRequestError,
     MethodNotAllowedError,
@@ -50,9 +49,6 @@ from repro.serve.validation import (
     require_known,
     string_field,
 )
-
-if TYPE_CHECKING:
-    from repro.faults.plan import FaultPlan
 
 __all__ = ["Request", "Response", "Router", "TaxonomyService"]
 
@@ -172,34 +168,18 @@ class TaxonomyService:
     """The endpoint handlers plus the state they share.
 
     One instance serves every request: the :class:`ModelCache` is shared
-    (with lock-contention accounting), the circuit breaker guards the
-    sweep-backed survey costing, and an optional seeded
-    :class:`FaultPlan` injects deterministic chaos into the protected
-    handler path — request ordinals play the role of cycles, so the
-    same plan always fails the same requests.
+    (with lock-contention accounting).
     """
 
     def __init__(
         self,
         *,
         cache: "ModelCache | None" = None,
-        breaker: "CircuitBreaker | None" = None,
-        fault_plan: "FaultPlan | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         self.cache = cache if cache is not None else ModelCache()
-        self.breaker = (
-            breaker if breaker is not None else CircuitBreaker(BreakerPolicy(), clock=clock)
-        )
         self._cache_lock = threading.Lock()
         self._clock = clock
-        self._fault_injector = None
-        if fault_plan is not None:
-            from repro.faults.plan import FaultInjector
-
-            self._fault_injector = FaultInjector(fault_plan)
-        self._fault_lock = threading.Lock()
-        self._protected_calls = 0
         self.router = Router()
         self.router.add("GET", "/v1/classify", self.handle_classify)
         self.router.add("POST", "/v1/classify", self.handle_classify)
@@ -221,25 +201,6 @@ class TaxonomyService:
         with self._cache_lock:
             _CACHE_WAIT.observe(max(self._clock() - started, 0.0))
             return self.cache.evaluate(signature, n=n, technology=technology)
-
-    def _protected(self, fn: Callable[[], Any]) -> Any:
-        """Run a sweep-backed query under chaos injection + the breaker."""
-        with self._fault_lock:
-            self._protected_calls += 1
-            ordinal = self._protected_calls
-        injector = self._fault_injector
-
-        def guarded() -> Any:
-            if injector is not None:
-                with self._fault_lock:
-                    due = injector.due(ordinal)
-                if due:
-                    raise FaultError(
-                        f"injected fault on request {ordinal}: {due[0].describe()}"
-                    )
-            return fn()
-
-        return self.breaker.call(guarded)
 
     # -- /v1/classify ----------------------------------------------------
 
@@ -335,7 +296,7 @@ class TaxonomyService:
     # -- /v1/survey ------------------------------------------------------
 
     def handle_survey(self, request: Request) -> Response:
-        """The Table-III survey; ``costs=true`` adds sweep-backed estimates."""
+        """The Table-III survey; ``costs=true`` adds each record's estimates."""
         from repro.registry.survey import survey_table
 
         params = request.params
@@ -354,8 +315,7 @@ class TaxonomyService:
         if include_costs:
             from repro.analysis.survey_costs import evaluate_survey
 
-            points = self._protected(lambda: evaluate_survey(default_n=n))
-            costs_by_name = {point.name: point for point in points}
+            costs_by_name = {point.name: point for point in evaluate_survey(default_n=n)}
         architectures = []
         for entry in entries:
             record = entry.record

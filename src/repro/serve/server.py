@@ -10,7 +10,6 @@ Layering (transport at the edge, everything testable without sockets)::
             -> WorkerPool             bounded concurrency + queue (503),
                                       per-request deadlines (504)
                 -> Router.handle      endpoint handlers (repro.serve.router)
-                    -> CircuitBreaker around sweep-backed queries (503)
 
 The data plane speaks HTTP/1.1 with keep-alive: one connection thread
 serves many requests (``keepalive_requests`` per connection, closed
@@ -49,7 +48,7 @@ import socket
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any, Callable
@@ -57,7 +56,6 @@ from urllib.parse import urlsplit
 
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.serve.breaker import BreakerPolicy, CircuitBreaker
 from repro.serve.cache import ResponseCache
 from repro.serve.errors import (
     BadRequestError,
@@ -77,7 +75,6 @@ from repro.serve.validation import (
 )
 
 if TYPE_CHECKING:
-    from repro.faults.plan import FaultPlan
     from repro.perf.cache import ModelCache
 
 __all__ = [
@@ -98,14 +95,14 @@ __all__ = [
 #: 0.5 ms brings that to ~1.4 ms. A forced switch happens only while a
 #: second thread waits for the lock; two CPU-bound batches running at
 #: once swap it every interval and lose ~14% of their throughput (22%
-#: at 0.25 ms). See docs/serving.md section 11. Not a flag: no
+#: at 0.25 ms). See docs/serving.md section 10. Not a flag: no
 #: deployment needs another value.
 SERVE_SWITCH_INTERVAL_S = 0.0005
 
 
 _REQUESTS = _metrics.REGISTRY.counter("serve.requests", help="HTTP requests received")
 _REJECTED = _metrics.REGISTRY.counter(
-    "serve.rejected", help="requests shed with 429/503 (rate, queue, breaker, drain)"
+    "serve.rejected", help="requests shed with 429/503 (rate, queue, drain)"
 )
 _TIMEOUTS = _metrics.REGISTRY.counter(
     "serve.timeouts", help="requests that exceeded their deadline (504)"
@@ -147,10 +144,6 @@ class ServerConfig:
     burst: "int | None" = None
     #: Seconds granted to in-flight requests after SIGTERM/SIGINT.
     drain_s: float = 5.0
-    #: Circuit-breaker tuning for sweep-backed queries.
-    breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    #: Optional seeded chaos plan injected into the protected handler path.
-    fault_plan: "FaultPlan | None" = None
     #: Emit one access-log line per request to stderr.
     log_requests: bool = False
     #: Pre-fork worker processes sharing the port via SO_REUSEPORT
@@ -246,12 +239,7 @@ class ServiceApp:
         self.drain = DrainController()
         self.limiter = TokenBucket(self.config.rate, self.config.burst, clock=clock)
         self.pool = WorkerPool(self.config.workers, self.config.queue_depth)
-        self.service = TaxonomyService(
-            cache=cache,
-            breaker=CircuitBreaker(self.config.breaker, clock=clock),
-            fault_plan=self.config.fault_plan,
-            clock=clock,
-        )
+        self.service = TaxonomyService(cache=cache, clock=clock)
         self.router = self.service.router
         self.response_cache = ResponseCache(self.config.cache_size)
         self.fleet: "FleetBus | None" = None
@@ -322,10 +310,7 @@ class ServiceApp:
         return _metrics.REGISTRY.render_prometheus()
 
     def _handle_readyz(self) -> Response:
-        breaker = self.service.breaker.snapshot()
-        draining = self.drain.draining
-        ready = not draining and breaker["state"] != "open"
-        status = "ready" if ready else ("draining" if draining else "not_ready")
+        ready = not self.drain.draining
         members = [
             {key: value for key, value in member.items() if key != "metrics"}
             for member in self._fleet_members()
@@ -335,8 +320,7 @@ class ServiceApp:
         if respawns is not None:
             fleet_view["respawns"] = respawns
         payload = {
-            "status": status,
-            "breaker": breaker,
+            "status": "ready" if ready else "draining",
             "inflight": self.drain.inflight,
             "queued": self.pool.queued,
             "cache": self.response_cache.stats(),

@@ -175,9 +175,6 @@ class TestErrorContract:
             ["--keepalive-requests", "-1"],
             ["--keepalive-idle", "0"],
             ["--drain-deadline", "-1"],
-            ["--breaker-failures", "0"],
-            ["--breaker-recovery", "-1"],
-            ["--fault-seed", "1", "--fault-rate", "2"],
             ["--jobs-dir", "{tmp}", "--job-poll", "0"],
             ["--processes", "2", "--workers", "0"],
             ["--port", "70000"],
@@ -194,6 +191,65 @@ class TestErrorContract:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("entry", ["cli", "module"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [f"{flag}=1"] if joined else [flag, "1"]
+            for flag in (
+                "--breaker-failures", "--breaker-recovery", "--fault-seed", "--fault-rate"
+            )
+            for joined in (False, True)
+        ],
+        ids=" ".join,
+    )
+    def test_removed_breaker_flag_exits_2(self, capsys, monkeypatch, entry, argv):
+        flag = argv[0].partition("=")[0]
+        assert _serve(monkeypatch, entry, ["--port", "0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {flag} was removed with the circuit breaker; "
+            "/v1/survey?costs=true is deterministic arithmetic and runs unguarded"
+        ]
+
+    def test_both_entry_points_read_one_removed_flag_table(self):
+        import repro.cli
+        from repro.serve.flags import REMOVED_FLAGS
+
+        serve_rows = {
+            name: diagnostic
+            for (command, name), diagnostic in repro.cli._REMOVED.items()
+            if command == "serve"
+        }
+        assert serve_rows == REMOVED_FLAGS
+
+    @pytest.mark.skipif(not hasattr(socket, "SO_REUSEPORT"), reason="needs SO_REUSEPORT")
+    @pytest.mark.parametrize("entry", ["cli", "module"])
+    def test_prefork_worker_start_up_failure_exits_2_without_respawning(
+        self, capsys, monkeypatch, tmp_path, entry
+    ):
+        # Only a worker sees that the jobs directory cannot be created;
+        # the parent must report that once instead of respawning it.
+        blocker = tmp_path / "regular-file"
+        blocker.write_text("")
+        jobs_dir = str(blocker / "jobs")
+        handlers = {signum: signal.getsignal(signum) for signum in (signal.SIGTERM, signal.SIGINT)}
+        try:
+            code = _serve(
+                monkeypatch, entry,
+                ["--port", "0", "--processes", "2", "--workers", "1", "--jobs-dir", jobs_dir],
+            )
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Not a directory" in lines[0]
 
     @pytest.mark.parametrize("entry", ["cli", "module"])
     @pytest.mark.parametrize("processes", ["1", "2"])

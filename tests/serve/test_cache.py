@@ -5,7 +5,6 @@ import threading
 
 import pytest
 
-from repro.serve.breaker import BreakerPolicy
 from repro.serve.cache import CACHEABLE_PATHS, ResponseCache
 from repro.serve.router import Response
 from repro.serve.server import ServerConfig, ServiceApp
@@ -142,25 +141,6 @@ class TestCachedDispatch:
             stats = app.response_cache.stats()
             assert stats["size"] == 2
             assert stats["evictions"] == 3
-        finally:
-            app.shutdown()
-
-    def test_cached_hit_survives_open_breaker(self):
-        """A hot cache keeps the pure endpoints alive while the
-        sweep-backed survey path is tripped open."""
-        app = ServiceApp(
-            ServerConfig(port=0, breaker=BreakerPolicy(failure_threshold=1))
-        )
-        try:
-            assert app.dispatch("GET", CLASSIFY).status == 200  # warm the cache
-            with pytest.raises(ZeroDivisionError):
-                app.service.breaker.call(lambda: 1 / 0)  # trip it open
-            assert app.service.breaker.snapshot()["state"] == "open"
-            survey = app.dispatch("GET", "/v1/survey?costs=true")
-            assert survey.status == 503
-            hit = app.dispatch("GET", CLASSIFY)
-            assert hit.status == 200
-            assert app.response_cache.stats()["hits"] == 1
         finally:
             app.shutdown()
 

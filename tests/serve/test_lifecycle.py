@@ -1,4 +1,4 @@
-"""Lifecycle tests: graceful drain, the soak test and the chaos test."""
+"""Lifecycle tests: graceful drain, the soak test and handler failures."""
 
 import json
 import signal
@@ -11,8 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import FaultPlan
-from repro.serve.breaker import BreakerPolicy
 from repro.serve.errors import DrainingError
 from repro.serve.lifecycle import DrainController, install_signal_handlers
 from repro.serve.server import (
@@ -295,16 +293,10 @@ class TestRunServer:
             return 0
 
         monkeypatch.setattr(server_module, "run_server", fake_run_server)
-        assert module_main.main(
-            ["--port", "0", "--workers", "3", "--fault-seed", "7", "--rate", "2.5"]
-        ) == 0
+        assert module_main.main(["--port", "0", "--workers", "3", "--rate", "2.5"]) == 0
         config = seen["config"]
         assert config.workers == 3
         assert config.rate == 2.5
-        assert config.fault_plan is not None
-        # No --fault-seed -> no chaos plan.
-        assert module_main.main(["--port", "0"]) == 0
-        assert seen["config"].fault_plan is None
 
     def test_both_entry_points_build_the_same_config(self, monkeypatch):
         """``python -m repro.serve`` and ``repro-taxonomy serve`` share one flag table."""
@@ -322,15 +314,14 @@ class TestRunServer:
 
         monkeypatch.setattr(server_module, "run_server", fake_run_server)
         flags = [
-            "--burst", "3", "--breaker-failures", "2", "--breaker-recovery", "0.5",
+            "--burst", "3", "--drain-deadline", "0.5", "--cache-size", "2",
             "--log-requests", "--job-runners", "1",
         ]
         assert module_main.main(flags) == 0
         assert cli_main(["serve", *flags]) == 0
         module_config, cli_config = configs
         assert (module_config.burst, module_config.log_requests) == (3, True)
-        breaker = module_config.breaker
-        assert (breaker.failure_threshold, breaker.recovery_s) == (2, 0.5)
+        assert (module_config.drain_s, module_config.cache_size) == (0.5, 2)
         # The default port is the one difference: ephemeral vs 8080.
         assert (module_config.port, cli_config.port) == (0, 8080)
         assert module_config == dataclasses.replace(cli_config, port=0)
@@ -395,49 +386,29 @@ class TestSwitchInterval:
             assert app.shutdown(drain_s=1.0)
 
 
-class TestChaos:
-    def test_injected_faults_open_the_breaker_then_recover(self):
-        """Seeded chaos: breaker opens, readyz flips 503, then recovers.
+class TestHandlerFailure:
+    def test_handler_exception_is_a_sanitised_500_and_readiness_holds(self, monkeypatch):
+        """An unexpected handler exception becomes a structured 500 that
+        names only the exception type; readiness never depends on it."""
+        import repro.analysis.survey_costs as survey_costs
 
-        Seed 1 at rate 1.0 over a 2-cycle horizon schedules faults on
-        protected-request ordinals 1 and 2 only — deterministic, so the
-        test needs no sleeps or probabilities, just a fake clock.
-        """
-        clock_now = [0.0]
-        policy = BreakerPolicy(failure_threshold=2, recovery_s=10.0, jitter=0.0)
-        app = ServiceApp(
-            ServerConfig(
-                deadline_s=None,
-                breaker=policy,
-                fault_plan=FaultPlan.random(1, 1.0, n_pes=2, horizon=2),
-            ),
-            clock=lambda: clock_now[0],
-        )
-        survey = "/v1/survey?costs=true&n=4"
+        def explode(**_):
+            raise ZeroDivisionError("secret internal detail")
 
-        # Ordinals 1 and 2 fault -> two sanitised 500s, breaker opens.
-        first = app.dispatch("GET", survey)
-        assert first.status == 500
-        assert first.payload["error"]["code"] == "internal"
-        assert "Traceback" not in json.dumps(first.payload)
-        assert app.dispatch("GET", survey).status == 500
-
-        # Open: instant structured 503s, readyz not ready (healthz fine).
-        shed = app.dispatch("GET", survey)
-        assert shed.status == 503
-        assert shed.payload["error"]["code"] == "breaker_open"
+        monkeypatch.setattr(survey_costs, "evaluate_survey", explode)
+        app = ServiceApp(ServerConfig(deadline_s=None))
+        for _ in range(6):  # repeated failures change neither the answer nor readiness
+            failed = app.dispatch("GET", "/v1/survey?costs=true&n=4")
+            assert failed.status == 500
+            assert failed.payload == {
+                "error": {
+                    "code": "internal",
+                    "message": "internal error: ZeroDivisionError",
+                    "status": 500,
+                }
+            }
+            assert "Traceback" not in json.dumps(failed.payload)
         ready = app.dispatch("GET", "/v1/readyz")
-        assert ready.status == 503
-        assert ready.payload["status"] == "not_ready"
-        assert ready.payload["breaker"]["state"] == "open"
-        assert app.dispatch("GET", "/v1/healthz").status == 200
-
-        # Past the recovery interval: half-open probe succeeds (the
-        # fault plan is exhausted), breaker closes, readiness returns.
-        clock_now[0] += policy.recovery_delay_s(1) + 0.001
-        probe = app.dispatch("GET", survey)
-        assert probe.status == 200
-        recovered = app.dispatch("GET", "/v1/readyz")
-        assert recovered.status == 200
-        assert recovered.payload["breaker"]["state"] == "closed"
+        assert (ready.status, ready.payload["status"]) == (200, "ready")
+        assert app.dispatch("GET", "/v1/survey?n=4").status == 200
         assert app.shutdown()

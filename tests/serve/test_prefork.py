@@ -1,7 +1,9 @@
 """Pre-fork front end: a real multi-process fleet on one shared port."""
 
 import json
+import os
 import pathlib
+import shutil
 import signal
 import socket
 import subprocess
@@ -145,3 +147,33 @@ class TestPreforkFleet:
         assert status == 0
         assert "drained cleanly" in stderr
         assert statuses and set(statuses) <= {200, 503}
+
+    def test_a_respawn_that_cannot_start_gives_up_its_slot(self, tmp_path):
+        """A worker killed after start-up is respawned; if the respawn
+        cannot start, the parent gives up the slot instead of looping."""
+        jobs_dir = tmp_path / "jobs"
+        proc, url = boot("--jobs-dir", str(jobs_dir))
+        lines = []
+        try:
+            _, ready = get_json(url + "/v1/readyz")
+            victim = ready["fleet"]["members"][0]["pid"]
+            shutil.rmtree(jobs_dir)
+            jobs_dir.write_text("")  # a respawned worker cannot open its jobs dir
+            os.kill(victim, signal.SIGKILL)
+
+            def read_until_given_up():
+                for line in proc.stderr:
+                    lines.append(line)
+                    if "giving up" in line:
+                        return
+
+            reader = threading.Thread(target=read_until_given_up, daemon=True)
+            reader.start()
+            reader.join(30.0)
+            assert not reader.is_alive()
+        finally:
+            status, stderr = stop(proc)
+        assert status == 1
+        assert lines[-1].startswith("worker slot ")
+        assert "failed to restart" in lines[-1] and "Not a directory" in lines[-1]
+        assert "respawned as" not in "".join(lines) + stderr
