@@ -1,4 +1,4 @@
-"""Benchmark `sweep-engine`: the serial sweep loop and the model cache.
+"""Benchmark `sweep-engine`: the serial sweep loop.
 
 Measures the perf claims of the sweep substrate and emits the
 machine-readable ``benchmarks/BENCH_sweeps.json`` trajectory artifact so
@@ -6,8 +6,10 @@ successive PRs can see the curve:
 
 * the serial resilience sweep scales linearly in the fault-rate ladder
   (2k, 20k and 200k rates; a process pool lost to it at every size);
-* the engine's per-point overhead stays small;
-* the model-evaluation cache turns repeat sweeps into lookups.
+* the engine's per-point overhead stays small.
+
+Records before the model cache was deleted also carry its
+``cache_hit_rate``/``cache_lookups``.
 """
 
 import json
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.resilience import resilience_sweep
-from repro.perf import ModelCache, sweep
+from repro.perf import sweep
 
 #: A fault-rate ladder heavy enough that per-point compute dominates the
 #: engine's scheduling overhead (200 throughput evaluations per entry).
@@ -71,33 +73,6 @@ def test_sweep_engine_overhead(benchmark):
 
 def _int_square(x):
     return x * x
-
-
-def test_model_cache_hit_rate(benchmark):
-    def repeat_survey():
-        cache = ModelCache()
-        for _ in range(5):
-            points = evaluate_survey_with_cache(cache)
-        return cache, points
-
-    cache, points = benchmark(repeat_survey)
-    stats = cache.stats
-    assert len(points) == 25
-    # 5 passes over 25 records: everything after the first pass hits,
-    # and duplicate signatures hit within the first pass too.
-    assert stats.hit_rate > 0.5
-    _RESULTS["cache_hit_rate"] = round(stats.hit_rate, 4)
-    _RESULTS["cache_lookups"] = stats.lookups
-
-
-def evaluate_survey_with_cache(cache):
-    from repro.analysis.survey_costs import cost_point
-    from repro.registry.architectures import all_architectures
-
-    return [
-        cost_point(record, default_n=16, cache=cache)
-        for record in all_architectures()
-    ]
 
 
 def test_emit_trajectory_artifact():

@@ -6,8 +6,8 @@ the same instrumentation the CLI exposes as `--trace`, `--profile` and
 the `metrics` subcommand — and prints what each one captured:
 
 1. enable tracing, run the survey cost sweep, render the span tree;
-2. read the always-on metrics registry (sweep timings, model-cache
-   hits and misses, machine cycle counters);
+2. read the always-on metrics registry (sweep runs, points and
+   timings, machine cycle counters);
 3. profile a design-space exploration and show the hottest functions.
 
 Run:  python examples/observability_tour.py
@@ -46,18 +46,14 @@ def machine_and_metrics() -> None:
     machine.scatter(64, list(range(lanes * 4)))
     machine.run(simd_vector_add(4))
 
-    # A second survey pass is answered entirely from the model cache.
-    evaluate_survey(default_n=16)
-
     print("=== metrics registry (always on; aggregates only) ===")
     print(REGISTRY.render())
     print()
 
     snapshot = REGISTRY.snapshot()
-    hits = snapshot["model_cache.hits"]["value"]
-    misses = snapshot["model_cache.misses"]["value"]
-    print(f"model cache: {hits} hits / {misses} misses "
-          f"(second sweep pass was pure hits)")
+    runs = snapshot["sweep.runs"]["value"]
+    points = snapshot["sweep.points"]["value"]
+    print(f"sweep.runs = {runs}, sweep.points = {points}")
     print("machine-readable form:",
           json.dumps(snapshot["machine.runs"], sort_keys=True))
     print()

@@ -22,8 +22,6 @@ from repro.core.naming import MachineType
 from repro.obs import trace as _trace
 from repro.core.taxonomy import class_by_name
 from repro.machine.base import Capability
-from repro.models.area import AreaModel
-from repro.models.configbits import ConfigBitsModel
 
 __all__ = ["Objective", "Requirements", "Recommendation", "explore", "capabilities_of_class"]
 
@@ -147,8 +145,6 @@ def explore(
     requirements: Requirements,
     *,
     objective: Objective = Objective.CONFIG_BITS,
-    area_model: "AreaModel | None" = None,
-    config_model: "ConfigBitsModel | None" = None,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -163,8 +159,6 @@ def explore(
     with _trace.span("analysis.dse", objective=objective.name, n=requirements.n) as dse_span:
         points = evaluate_classes(
             n=requirements.n,
-            area_model=area_model,
-            config_model=config_model,
             on_error=on_error,
             timeout_s=timeout_s,
             resume=resume,

@@ -19,10 +19,12 @@ from repro.core.taxonomy import TaxonomyClass, implementable_classes
 from repro.models.area import AreaModel
 from repro.models.configbits import ConfigBitsModel
 from repro.obs import trace as _trace
-from repro.perf.cache import ModelCache, evaluate_models
 from repro.perf.engine import sweep
 
 __all__ = ["DesignPoint", "evaluate_classes", "pareto_frontier"]
+
+_AREA = AreaModel()
+_CONFIG = ConfigBitsModel()
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,19 +67,16 @@ class DesignPoint:
         )
 
 
-def _design_point(
-    cls: TaxonomyClass, *, n: int, cache: "ModelCache | None"
-) -> DesignPoint:
+def _design_point(cls: TaxonomyClass, *, n: int) -> DesignPoint:
     """Price one taxonomy class — the sweep's per-point worker."""
     assert cls.name is not None
-    estimates = evaluate_models(cls.signature, n=n, cache=cache)
     return DesignPoint(
         name=cls.name.short,
         serial=cls.serial,
         machine_type=cls.name.machine_type,
         flexibility=flexibility(cls.signature),
-        area_ge=estimates.area_ge,
-        config_bits=estimates.config_bits,
+        area_ge=_AREA.total_ge(cls.signature, n=n),
+        config_bits=_CONFIG.total(cls.signature, n=n),
         n=n,
     )
 
@@ -85,8 +84,6 @@ def _design_point(
 def evaluate_classes(
     *,
     n: int = 16,
-    area_model: "AreaModel | None" = None,
-    config_model: "ConfigBitsModel | None" = None,
     classes: "tuple[TaxonomyClass, ...] | None" = None,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
@@ -95,25 +92,19 @@ def evaluate_classes(
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
 
-    Each class is one point of a :func:`repro.perf.sweep`. Custom
-    models get a private cache so the shared one never mixes parameter
-    sets. ``on_error``/``timeout_s``
-    set the engine's failure policy (failed classes are dropped from the
-    result), and ``resume=True`` journals completed classes so an
-    interrupted evaluation restarts where it stopped.
+    Each class is one point of a :func:`repro.perf.sweep`.
+    ``on_error``/``timeout_s`` set the engine's failure policy (failed
+    classes are dropped from the result), and ``resume=True`` journals
+    completed classes so an interrupted evaluation restarts where it
+    stopped.
     """
-    cache = (
-        None
-        if area_model is None and config_model is None
-        else ModelCache(area_model=area_model, config_model=config_model)
-    )
     chosen = classes if classes is not None else implementable_classes()
     implementable = [cls for cls in chosen if cls.implementable]
-    worker = functools.partial(_design_point, n=n, cache=cache)
+    worker = functools.partial(_design_point, n=n)
     spec = {
         "n": n,
         "classes": [cls.serial for cls in implementable],
-        "models": [repr(area_model), repr(config_model)],
+        "models": ["None"] * 2,  # kept: the digest names journals, so old ones still resume
     }
     with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n):
         result = sweep(

@@ -19,7 +19,6 @@ from repro.models.configbits import ConfigBitsModel
 from repro.models.energy import EnergyModel
 from repro.models.reconfiguration import ReconfigurationModel
 from repro.obs import trace as _trace
-from repro.perf.cache import ModelCache, evaluate_models
 from repro.perf.engine import sweep
 from repro.registry.architectures import all_architectures
 from repro.registry.record import ArchitectureRecord
@@ -54,6 +53,12 @@ class SurveyCostPoint:
         )
 
 
+_AREA = AreaModel()
+_CONFIG = ConfigBitsModel()
+_ENERGY = EnergyModel()
+_RECONFIG = ReconfigurationModel()
+
+
 def _effective_n(record: ArchitectureRecord, default_n: int) -> int:
     """The design size used for evaluation: concrete where Table III
     gives one, ``default_n`` for template (n/m/v) architectures."""
@@ -61,9 +66,7 @@ def _effective_n(record: ArchitectureRecord, default_n: int) -> int:
     return max(resolved, 1)
 
 
-def cost_point(
-    record: ArchitectureRecord, *, default_n: int, cache: "ModelCache | None"
-) -> SurveyCostPoint:
+def cost_point(record: ArchitectureRecord, *, default_n: int) -> SurveyCostPoint:
     """Price one surveyed architecture — the sweep's per-point worker.
 
     Public because the async ``survey-costs`` job kind
@@ -72,26 +75,22 @@ def cost_point(
     job's checkpointed resume bit-identical.
     """
     n = _effective_n(record, default_n)
-    estimates = evaluate_models(record.signature, n=n, cache=cache)
+    signature = record.signature
     return SurveyCostPoint(
         name=record.name,
         taxonomic_name=record.derived_name,
         flexibility=record.derived_flexibility,
         n_effective=n,
-        area_ge=estimates.area_ge,
-        config_bits=estimates.config_bits,
-        energy_per_op_pj=estimates.energy_per_op_pj,
-        reconfig_cycles=estimates.reconfig_cycles,
+        area_ge=_AREA.total_ge(signature, n=n),
+        config_bits=_CONFIG.total(signature, n=n),
+        energy_per_op_pj=_ENERGY.energy_per_op(signature, n=n),
+        reconfig_cycles=_RECONFIG.cost(signature, n=n).cycles,
     )
 
 
 def evaluate_survey(
     *,
     default_n: int = 16,
-    area_model: "AreaModel | None" = None,
-    config_model: "ConfigBitsModel | None" = None,
-    energy_model: "EnergyModel | None" = None,
-    reconfig_model: "ReconfigurationModel | None" = None,
     on_error: str = "raise",
     timeout_s: "float | None" = None,
     resume: bool = False,
@@ -99,30 +98,18 @@ def evaluate_survey(
 ) -> list[SurveyCostPoint]:
     """Estimate every surveyed architecture's costs at its own size.
 
-    Evaluations go through the :mod:`repro.perf` model cache — two
-    architectures sharing a signature and size are priced once — and
-    each record is one point of a :func:`repro.perf.sweep`.
+    Each record is one point of a :func:`repro.perf.sweep`, priced by
+    the paper's models directly.
     ``on_error``/``timeout_s`` set the engine's failure policy (failed
     points are dropped from the result), and ``resume=True`` journals
     completed records for restartability.
     """
-    custom = (area_model, config_model, energy_model, reconfig_model)
     records = all_architectures()
-    cache = (
-        None
-        if all(model is None for model in custom)
-        else ModelCache(
-            area_model=area_model,
-            config_model=config_model,
-            energy_model=energy_model,
-            reconfig_model=reconfig_model,
-        )
-    )
-    worker = functools.partial(cost_point, default_n=default_n, cache=cache)
+    worker = functools.partial(cost_point, default_n=default_n)
     spec = {
         "default_n": default_n,
         "records": [record.name for record in records],
-        "models": [repr(model) for model in custom],
+        "models": ["None"] * 4,  # kept: the digest names journals, so old ones still resume
     }
     with _trace.span(
         "analysis.survey_costs", architectures=len(records), default_n=default_n

@@ -363,9 +363,8 @@ def _run_metrics(args: argparse.Namespace) -> int:
 
     Metrics are process-local, so a fresh CLI process must generate some
     work before its registry says anything useful. The calibration
-    workload touches each instrumented subsystem: the survey cost sweep
-    twice (the second pass is all ModelCache hits), a short resilience
-    sweep, and one machine run.
+    workload touches each instrumented subsystem: the survey cost sweep,
+    a short resilience sweep, and one machine run.
     """
     from repro.analysis.resilience import resilience_sweep
     from repro.analysis.survey_costs import evaluate_survey
@@ -374,7 +373,6 @@ def _run_metrics(args: argparse.Namespace) -> int:
     from repro.obs import REGISTRY
 
     evaluate_survey(default_n=args.n)
-    evaluate_survey(default_n=args.n)  # repeat pass: pure cache hits
     resilience_sweep((0.01, 0.05, 0.2), n=args.n)
     lanes = max(args.n, 2)
     machine = ArrayProcessor(lanes, ArraySubtype.IAP_IV)

@@ -24,8 +24,8 @@ enforces ``==`` over all 406 constructible structures, the 47 classes,
 the 25-architecture survey and hypothesis-random signatures.
 
 Eq. 1 / Eq. 2 pricing is not vectorized: the paper's analyses price
-at most a few dozen signatures, where the scalar models behind
-:class:`repro.perf.cache.ModelCache` are faster than building columns.
+at most a few dozen signatures, where calling the scalar models
+directly is faster than building columns.
 """
 
 from __future__ import annotations

@@ -52,11 +52,11 @@ def _cut_size(graph: nx.Graph, order: "list[str]") -> int:
 def bisection_width(graph: nx.Graph) -> int:
     """Edges cut when splitting the node set in half (heuristic).
 
-    Exact minimum bisection is NP-hard; we take the best of three
-    standard orderings — the Fiedler-vector split, label order and a BFS
-    layering — which is exact on the regular structures used here
-    (meshes, stars, chains). Graphs with symmetric spectra (a square
-    mesh) defeat the spectral split alone, hence the ensemble.
+    Exact minimum bisection is NP-hard; we take the best split of three
+    deterministic orderings — label order, BFS order and DFS preorder
+    from the first label — which is exact on the regular structures
+    used here (meshes, stars, chains). The answer depends only on the
+    graph, never on which optional packages are installed.
     """
     n = graph.number_of_nodes()
     if n <= 1 or graph.number_of_edges() == 0:
@@ -64,16 +64,11 @@ def bisection_width(graph: nx.Graph) -> int:
     if not nx.is_connected(graph):
         return 0
     ordering = sorted(graph.nodes())
-    candidates = [ordering]
-    try:
-        # Seeded: the tracemin iteration starts from a random vector.
-        fiedler = nx.fiedler_vector(graph, method="tracemin_lu", seed=0)
-        candidates.append([node for _, node in sorted(zip(fiedler, ordering))])
-    except (nx.NetworkXError, ValueError, ImportError):
-        # tiny/degenerate graphs, or scipy unavailable — the remaining
-        # orderings still give a (coarser) upper bound
-        pass
-    candidates.append(list(nx.bfs_tree(graph, ordering[0])))
+    candidates = [
+        ordering,
+        list(nx.bfs_tree(graph, ordering[0])),
+        list(nx.dfs_preorder_nodes(graph, ordering[0])),
+    ]
     return min(_cut_size(graph, order) for order in candidates)
 
 

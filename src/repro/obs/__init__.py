@@ -4,8 +4,8 @@
 stands on. It is dependency-free and has three layers, cheapest first:
 
 * :mod:`repro.obs.metrics` — always-on process-local counters, gauges
-  and fixed-bucket histograms (:data:`REGISTRY`). The ModelCache, the
-  sweep engine and every machine ``run()`` report here; the CLI prints
+  and fixed-bucket histograms (:data:`REGISTRY`). The sweep engine, the
+  serve stack and every machine ``run()`` report here; the CLI prints
   the registry via ``repro-taxonomy metrics``.
 * :mod:`repro.obs.trace` — an opt-in hierarchical span tracer
   (disabled by default, one-flag-check cheap when off). The analyses,

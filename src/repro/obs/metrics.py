@@ -1,8 +1,8 @@
 """Process-local metrics: counters, gauges and fixed-bucket histograms.
 
 Where :mod:`repro.obs.trace` answers *where did this run's time go*,
-metrics answer *how much work has this process done so far*: ModelCache
-hits and misses, sweep points evaluated, machine cycles retired. They
+metrics answer *how much work has this process done so far*: sweep
+points evaluated, response-cache hits, machine cycles retired. They
 are always on — an increment is one integer add, cheap enough that no
 enable flag is needed — and process-local: each process (a pre-fork
 serve worker, say) counts only the work it executed.

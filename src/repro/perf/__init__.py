@@ -1,4 +1,4 @@
-"""Performance substrate: sweeps, caching and resilient execution.
+"""Performance substrate: sweeps and resilient execution.
 
 Every analysis in this package is a *sweep* — the same pure function
 evaluated over a grid of points (25 survey records, 47 taxonomy classes,
@@ -12,20 +12,19 @@ a shared engine:
 * :class:`SweepCheckpoint` — the append-only journal behind the CLI's
   ``--resume`` flag and of ``/v1/jobs``, keyed by a content hash of
   the sweep spec; its record codec and ``flock`` primitive also back
-  the ``/v1/jobs`` event journals;
-* :class:`ModelCache` / :func:`evaluate_models` — an LRU-memoised cache
-  over the Eq.-1 area, Eq.-2 configuration-bit, energy and
-  reconfiguration models, keyed on ``(class_id, n, technology)``.
+  the ``/v1/jobs`` event journals.
 
 The analysis sweeps (:func:`repro.analysis.resilience.resilience_sweep`,
 :func:`repro.analysis.survey_costs.evaluate_survey`,
 :func:`repro.analysis.pareto.evaluate_classes`) and their CLI
 subcommands (``--on-error``, ``--timeout``, ``--resume``)
 are built on this engine; see ``docs/performance.md`` and
-``docs/robustness.md``. These analyses price their few dozen points
-through :class:`ModelCache` and the scalar models only: at that size the
-scalar models beat the columnar :mod:`repro.core.batch` kernel, which
-serves large classify batches (``serve``'s ``POST /v1/classify``).
+``docs/robustness.md``. These analyses price their few dozen points by
+calling the scalar models directly: one command repeats almost no
+``(class, n)`` pair, so a memoising cache would miss nearly every
+lookup (see ``docs/performance.md``), and at that size the scalar models beat the columnar
+:mod:`repro.core.batch` kernel, which serves large classify batches
+(``serve``'s ``POST /v1/classify``).
 """
 
 from repro._lazy import lazy_exports
@@ -49,6 +48,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "checkpoint_directory",
             "spec_digest",
         ),
-        "cache": ("DEFAULT_CACHE", "CacheStats", "ModelCache", "ModelEstimates", "evaluate_models"),
     },
 )

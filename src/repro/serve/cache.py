@@ -54,16 +54,10 @@ CACHEABLE_PATHS: tuple[str, ...] = ("/v1/classify", "/v1/costs")
 class ResponseCache:
     """A thread-safe LRU of immutable :class:`Response` objects."""
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        *,
-        paths: "tuple[str, ...]" = CACHEABLE_PATHS,
-    ):
+    def __init__(self, capacity: int = 1024):
         if capacity < 0:
             raise ValueError(f"cache capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self.paths = tuple(paths)
         self._entries: "OrderedDict[tuple, Response]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -85,7 +79,7 @@ class ResponseCache:
         return (
             self.capacity > 0
             and method.upper() in ("GET", "POST")
-            and path in self.paths
+            and path in CACHEABLE_PATHS
         )
 
     def get(self, key: tuple) -> "Response | None":

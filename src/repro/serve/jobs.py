@@ -726,7 +726,7 @@ def _run_survey_costs(params: "dict[str, Any]", context: JobContext) -> dict[str
 
     records = list(all_architectures())
     n = int(params["n"])
-    worker = functools.partial(cost_point, default_n=n, cache=None)
+    worker = functools.partial(cost_point, default_n=n)
     points = context.run_sweep(
         "survey-costs",
         worker,

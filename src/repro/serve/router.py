@@ -13,7 +13,7 @@ Endpoints (all under ``/v1``):
   classify`` output for the same signature.
 * ``costs`` — Eq. 1 area and Eq. 2 configuration bits (plus the energy
   and reconfiguration companions) for a taxonomy class at a size and
-  technology node, served through the shared :class:`ModelCache`.
+  technology node, priced by the paper's models directly.
 * ``survey`` — the 25 Table-III records with derived classifications;
   ``?costs=true`` adds the Eq. 1 / Eq. 2 estimates of each record.
 * ``healthz`` / ``readyz`` — liveness vs readiness (a drain flips
@@ -23,8 +23,6 @@ Endpoints (all under ``/v1``):
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -32,9 +30,11 @@ from repro.core.classify import classify
 from repro.core.errors import ClassificationError, NamingError
 from repro.core.signature import make_signature
 from repro.core.taxonomy import class_by_name, class_by_serial
+from repro.models.area import AreaModel
+from repro.models.configbits import ConfigBitsModel
+from repro.models.energy import EnergyModel
+from repro.models.reconfiguration import ReconfigurationModel
 from repro.models.technology import NODES
-from repro.obs import metrics as _metrics
-from repro.perf.cache import ModelCache
 from repro.serve.errors import (
     BadRequestError,
     MethodNotAllowedError,
@@ -53,9 +53,10 @@ from repro.serve.validation import (
 __all__ = ["Request", "Response", "Router", "TaxonomyService"]
 
 
-_CACHE_WAIT = _metrics.REGISTRY.histogram(
-    "serve.cache_wait_s", help="time spent waiting for the shared ModelCache lock (s)"
-)
+_AREA = AreaModel()
+_CONFIG = ConfigBitsModel()
+_ENERGY = EnergyModel()
+_RECONFIG = ReconfigurationModel()
 
 
 @dataclass(frozen=True)
@@ -165,42 +166,15 @@ _SIGNATURE_PARAMS: tuple[str, ...] = (
 
 
 class TaxonomyService:
-    """The endpoint handlers plus the state they share.
+    """The endpoint handlers and the router that dispatches to them."""
 
-    One instance serves every request: the :class:`ModelCache` is shared
-    (with lock-contention accounting).
-    """
-
-    def __init__(
-        self,
-        *,
-        cache: "ModelCache | None" = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.cache = cache if cache is not None else ModelCache()
-        self._cache_lock = threading.Lock()
-        self._clock = clock
+    def __init__(self) -> None:
         self.router = Router()
         self.router.add("GET", "/v1/classify", self.handle_classify)
         self.router.add("POST", "/v1/classify", self.handle_classify)
         self.router.add("GET", "/v1/costs", self.handle_costs)
         self.router.add("POST", "/v1/costs", self.handle_costs)
         self.router.add("GET", "/v1/survey", self.handle_survey)
-
-    # -- shared infrastructure -------------------------------------------
-
-    def _evaluate_cached(self, signature: Any, *, n: int, technology: Any) -> Any:
-        """Shared-ModelCache evaluation with lock-contention accounting.
-
-        The cache itself is thread-safe; the extra lock measures how
-        long requests queue for it under concurrency — the
-        ``serve.cache_wait_s`` histogram is the contention signal the
-        capacity-tuning table in docs/serving.md is built from.
-        """
-        started = self._clock()
-        with self._cache_lock:
-            _CACHE_WAIT.observe(max(self._clock() - started, 0.0))
-            return self.cache.evaluate(signature, n=n, technology=technology)
 
     # -- /v1/classify ----------------------------------------------------
 
@@ -279,17 +253,17 @@ class TaxonomyService:
         except (ClassificationError, NamingError) as error:
             raise NotFoundError(str(error)) from None
         node = NODES[node_name]
-        estimates = self._evaluate_cached(taxonomy_class.signature, n=n, technology=node)
+        signature = taxonomy_class.signature
         payload = {
             "class": taxonomy_class.comment,
             "serial": taxonomy_class.serial,
             "n": n,
             "technology": node.name,
-            "area_ge": estimates.area_ge,
-            "area_um2": estimates.area_um2,
-            "config_bits": estimates.config_bits,
-            "energy_per_op_pj": estimates.energy_per_op_pj,
-            "reconfig_cycles": estimates.reconfig_cycles,
+            "area_ge": _AREA.total_ge(signature, n=n),
+            "area_um2": _AREA.total_um2(signature, n=n, node=node),
+            "config_bits": _CONFIG.total(signature, n=n),
+            "energy_per_op_pj": _ENERGY.energy_per_op(signature, n=n),
+            "reconfig_cycles": _RECONFIG.cost(signature, n=n).cycles,
         }
         return Response(payload=payload)
 

@@ -51,7 +51,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 from urllib.parse import urlsplit
 
 from repro.obs import metrics as _metrics
@@ -73,9 +73,6 @@ from repro.serve.validation import (
     parse_query,
     stable_json,
 )
-
-if TYPE_CHECKING:
-    from repro.perf.cache import ModelCache
 
 __all__ = [
     "SERVE_SWITCH_INTERVAL_S",
@@ -229,7 +226,6 @@ class ServiceApp:
         self,
         config: "ServerConfig | None" = None,
         *,
-        cache: "ModelCache | None" = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         from repro.serve.router import TaxonomyService
@@ -239,7 +235,7 @@ class ServiceApp:
         self.drain = DrainController()
         self.limiter = TokenBucket(self.config.rate, self.config.burst, clock=clock)
         self.pool = WorkerPool(self.config.workers, self.config.queue_depth)
-        self.service = TaxonomyService(cache=cache, clock=clock)
+        self.service = TaxonomyService()
         self.router = self.service.router
         self.response_cache = ResponseCache(self.config.cache_size)
         self.fleet: "FleetBus | None" = None

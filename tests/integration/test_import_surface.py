@@ -75,6 +75,20 @@ def test_server_start_up_loads_no_kernel_fabric_or_jobs():
     assert _loaded_after("import repro.serve.__main__", never) == []
 
 
+def test_costs_and_classify_are_served_without_the_perf_package():
+    statement = (
+        "from repro.serve.server import ServerConfig, ServiceApp\n"
+        "app = ServiceApp(ServerConfig(port=0))\n"
+        "assert app.dispatch('GET', '/v1/costs?class=IAP-IV&n=16').status == 200\n"
+        "assert app.dispatch(\n"
+        "    'GET', '/v1/classify?ips=1&dps=n&ip-dp=1-n&ip-im=1-1&dp-dm=nxn&dp-dp=nxn'\n"
+        ").status == 200\n"
+        "app.shutdown()\n"
+    )
+    # Any repro.perf submodule would load the package itself.
+    assert _loaded_after(statement, ("repro.perf",)) == []
+
+
 #: The process pool's modules: no CLI command loads them.
 POOL = ("concurrent.futures", "multiprocessing")
 

@@ -12,9 +12,7 @@ from repro.machine.array_processor import ArrayProcessor, ArraySubtype
 from repro.machine.base import machine_label, traced_run
 from repro.machine.kernels import simd_vector_add
 from repro.obs import REGISTRY, trace, validate_trace
-from repro.perf import ModelCache, sweep
-from repro.models import NODE_65NM
-from repro.registry import architecture
+from repro.perf import sweep
 
 
 @pytest.fixture(autouse=True)
@@ -73,27 +71,6 @@ class TestSweepInstrumentation:
     def test_disabled_tracing_leaves_no_spans(self):
         sweep(_square, [1, 2])
         assert trace.tracer().roots == []
-
-
-class TestModelCacheInstrumentation:
-    def test_hit_and_miss_counters_follow_the_cache(self):
-        cache = ModelCache(maxsize=4)
-        signature = architecture("MorphoSys").signature
-        hits_before = REGISTRY.get("model_cache.hits").value
-        misses_before = REGISTRY.get("model_cache.misses").value
-        cache.evaluate(signature, n=8, technology=NODE_65NM)
-        cache.evaluate(signature, n=8, technology=NODE_65NM)
-        assert REGISTRY.get("model_cache.misses").value == misses_before + 1
-        assert REGISTRY.get("model_cache.hits").value == hits_before + 1
-
-    def test_eviction_counter_follows_the_cache(self):
-        cache = ModelCache(maxsize=1)
-        first = architecture("MorphoSys").signature
-        second = architecture("DRRA").signature
-        evictions_before = REGISTRY.get("model_cache.evictions").value
-        cache.evaluate(first, n=8, technology=NODE_65NM)
-        cache.evaluate(second, n=8, technology=NODE_65NM)
-        assert REGISTRY.get("model_cache.evictions").value == evictions_before + 1
 
 
 class TestMachineInstrumentation:

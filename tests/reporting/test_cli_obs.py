@@ -6,7 +6,6 @@ import pytest
 
 from repro.cli import main
 from repro.obs import REGISTRY, trace, validate_trace
-from repro.perf.cache import DEFAULT_CACHE
 
 
 @pytest.fixture(autouse=True)
@@ -74,28 +73,24 @@ class TestTraceFlag:
 
 
 class TestMetricsCommand:
-    def test_reports_cache_and_sweep_metrics(self, capsys):
+    def test_reports_sweep_and_machine_metrics(self, capsys):
         code = main(["metrics", "--n", "8"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "model_cache.hits" in out
-        assert "model_cache.misses" in out
+        assert "sweep.points" in out
         assert "sweep.wall_s" in out
         assert "machine.runs" in out
 
     def test_json_snapshot_is_machine_readable(self, capsys):
-        # Counters are process-global, so measure what this run adds;
-        # an empty model cache makes the first survey pass miss, as it
-        # does in a fresh CLI process.
-        DEFAULT_CACHE.clear()
-        hits_before, misses_before = _cache_counters()
+        # Counters are process-global, so measure what this run adds:
+        # the 25-record survey sweep plus the resilience sweep's points.
+        points_before = REGISTRY.snapshot()["sweep.points"]["value"]
         code = main(["metrics", "--n", "8", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         snapshot = json.loads(out)
-        assert snapshot["model_cache.hits"]["type"] == "counter"
-        assert snapshot["model_cache.hits"]["value"] - hits_before > 0
-        assert snapshot["model_cache.misses"]["value"] - misses_before > 0
+        assert snapshot["sweep.points"]["type"] == "counter"
+        assert snapshot["sweep.points"]["value"] - points_before > 25
         assert snapshot["sweep.wall_s"]["type"] == "histogram"
         assert snapshot["sweep.wall_s"]["count"] > 0
 
@@ -113,15 +108,6 @@ class TestProfileFlag:
         assert "profile: costs" in content
         assert "cumulative time" in content
         assert "allocation sites" in content  # memory mode is on for the CLI
-
-
-def _cache_counters():
-    """Current (hits, misses) of the process-global model-cache counters."""
-    snapshot = REGISTRY.snapshot()
-    return (
-        snapshot["model_cache.hits"]["value"],
-        snapshot["model_cache.misses"]["value"],
-    )
 
 
 def _walk(span):
