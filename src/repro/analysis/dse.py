@@ -145,25 +145,10 @@ def explore(
     requirements: Requirements,
     *,
     objective: Objective = Objective.CONFIG_BITS,
-    on_error: str = "raise",
-    timeout_s: "float | None" = None,
-    resume: bool = False,
-    checkpoint_dir: "str | None" = None,
 ) -> Recommendation:
-    """Rank every implementable class against the requirements.
-
-    ``on_error``/``timeout_s``/``resume`` forward to
-    :func:`repro.analysis.pareto.evaluate_classes`, so a long DSE run
-    can skip bad points and restart from its checkpoint journal.
-    """
+    """Rank every implementable class against the requirements."""
     with _trace.span("analysis.dse", objective=objective.name, n=requirements.n) as dse_span:
-        points = evaluate_classes(
-            n=requirements.n,
-            on_error=on_error,
-            timeout_s=timeout_s,
-            resume=resume,
-            checkpoint_dir=checkpoint_dir,
-        )
+        points = evaluate_classes(n=requirements.n)
         feasible = [p for p in points if requirements.admits(p)]
         infeasible = [p for p in points if not requirements.admits(p)]
         feasible.sort(key=_objective_key(objective))

@@ -85,37 +85,16 @@ def evaluate_classes(
     *,
     n: int = 16,
     classes: "tuple[TaxonomyClass, ...] | None" = None,
-    on_error: str = "raise",
-    timeout_s: "float | None" = None,
-    resume: bool = False,
-    checkpoint_dir: "str | None" = None,
 ) -> list[DesignPoint]:
     """Evaluate Eq. 1 and Eq. 2 for every (given) implementable class.
 
     Each class is one point of a :func:`repro.perf.sweep`.
-    ``on_error``/``timeout_s`` set the engine's failure policy (failed
-    classes are dropped from the result), and ``resume=True`` journals
-    completed classes so an interrupted evaluation restarts where it
-    stopped.
     """
     chosen = classes if classes is not None else implementable_classes()
     implementable = [cls for cls in chosen if cls.implementable]
     worker = functools.partial(_design_point, n=n)
-    spec = {
-        "n": n,
-        "classes": [cls.serial for cls in implementable],
-        "models": ["None"] * 2,  # kept: the digest names journals, so old ones still resume
-    }
     with _trace.span("analysis.evaluate_classes", classes=len(implementable), n=n):
-        result = sweep(
-            worker,
-            implementable,
-            on_error=on_error,
-            timeout_s=timeout_s,
-            journal=("classes", spec) if resume else None,
-            checkpoint_dir=checkpoint_dir,
-        )
-    return [point for point in result if point is not None]
+        return list(sweep(worker, implementable))
 
 
 def pareto_frontier(points: "list[DesignPoint]") -> list[DesignPoint]:

@@ -211,18 +211,10 @@ def resilience_sweep(
     n: int = 16,
     spares: int = 0,
     entries: "tuple[SurveyEntry, ...] | None" = None,
-    on_error: str = "raise",
-    timeout_s: "float | None" = None,
-    resume: bool = False,
-    checkpoint_dir: "str | None" = None,
 ) -> list[ResiliencePoint]:
     """Degradation curves for the whole survey, best-sustained first.
 
     Each architecture is one point of a :func:`repro.perf.sweep`.
-    ``on_error``/``timeout_s`` set the engine's per-point failure policy
-    (points skipped under ``"skip"``/``"retry"`` are dropped from the
-    result), and ``resume=True`` journals completed architectures so an
-    interrupted sweep picks up where it left off, bit-identically.
     """
     if not rates:
         raise ValueError("at least one fault rate is required")
@@ -230,12 +222,6 @@ def resilience_sweep(
     worker = functools.partial(
         _resilience_point, rates=tuple(rates), n=n, spares=spares
     )
-    spec = {
-        "rates": [float(rate) for rate in rates],
-        "n": n,
-        "spares": spares,
-        "entries": [entry.name for entry in rows],
-    }
     with _trace.span(
         "analysis.resilience_sweep",
         architectures=len(rows),
@@ -243,15 +229,7 @@ def resilience_sweep(
         n=n,
         spares=spares,
     ):
-        result = sweep(
-            worker,
-            rows,
-            on_error=on_error,
-            timeout_s=timeout_s,
-            journal=("resilience", spec) if resume else None,
-            checkpoint_dir=checkpoint_dir,
-        )
-    points = [point for point in result if point is not None]
+        points = list(sweep(worker, rows))
     points.sort(key=lambda p: (-p.mean_throughput, p.name))
     return points
 

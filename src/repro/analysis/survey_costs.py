@@ -88,59 +88,25 @@ def cost_point(record: ArchitectureRecord, *, default_n: int) -> SurveyCostPoint
     )
 
 
-def evaluate_survey(
-    *,
-    default_n: int = 16,
-    on_error: str = "raise",
-    timeout_s: "float | None" = None,
-    resume: bool = False,
-    checkpoint_dir: "str | None" = None,
-) -> list[SurveyCostPoint]:
+def evaluate_survey(*, default_n: int = 16) -> list[SurveyCostPoint]:
     """Estimate every surveyed architecture's costs at its own size.
 
     Each record is one point of a :func:`repro.perf.sweep`, priced by
     the paper's models directly.
-    ``on_error``/``timeout_s`` set the engine's failure policy (failed
-    points are dropped from the result), and ``resume=True`` journals
-    completed records for restartability.
     """
     records = all_architectures()
     worker = functools.partial(cost_point, default_n=default_n)
-    spec = {
-        "default_n": default_n,
-        "records": [record.name for record in records],
-        "models": ["None"] * 4,  # kept: the digest names journals, so old ones still resume
-    }
     with _trace.span(
         "analysis.survey_costs", architectures=len(records), default_n=default_n
     ):
-        result = sweep(
-            worker,
-            records,
-            on_error=on_error,
-            timeout_s=timeout_s,
-            journal=("costs", spec) if resume else None,
-            checkpoint_dir=checkpoint_dir,
-        )
-    return [point for point in result if point is not None]
+        return list(sweep(worker, records))
 
 
-def survey_cost_table(
-    *,
-    default_n: int = 16,
-    on_error: str = "raise",
-    timeout_s: "float | None" = None,
-    resume: bool = False,
-) -> str:
+def survey_cost_table(*, default_n: int = 16) -> str:
     """Rendered cost table over the whole survey."""
     from repro.reporting.tables import format_table
 
-    points = evaluate_survey(
-        default_n=default_n,
-        on_error=on_error,
-        timeout_s=timeout_s,
-        resume=resume,
-    )
+    points = evaluate_survey(default_n=default_n)
     header = (
         "architecture", "class", "flex", "n", "area (GE)",
         "config bits", "pJ/op", "reload cycles",

@@ -57,6 +57,15 @@ _REMOVED = {
         )
         for command in ("costs", "dse", "faults")
     },
+    **{
+        (command, flag): (
+            f"{flag} was removed with the sweep failure policies; {command} runs in "
+            "milliseconds and a failing point fails the same way every time, so the "
+            "first failure ends the run"
+        )
+        for command in ("costs", "dse", "faults")
+        for flag in ("--on-error", "--timeout", "--resume")
+    },
 }
 
 
@@ -108,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["config", "area", "flex-per-area"],
         default="config",
     )
-    _add_resilience_arguments(dse_parser)
     _add_trace_argument(dse_parser)
     _add_profile_argument(dse_parser)
 
@@ -119,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, default=16,
         help="design size for template (n/m/v) architectures (default 16)",
     )
-    _add_resilience_arguments(costs_parser)
     _add_trace_argument(costs_parser)
     _add_profile_argument(costs_parser)
 
@@ -158,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="artifacts/resilience.csv",
         help="CSV destination ('-' to skip writing)",
     )
-    _add_resilience_arguments(faults_parser)
     _add_trace_argument(faults_parser)
     _add_profile_argument(faults_parser)
 
@@ -306,33 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("audit", help="run the library self-consistency audit")
     sub.add_parser("baselines", help="compare against Flynn and Skillicorn 1988")
     return parser
-
-
-def _add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared sweep-resilience flags: ``--on-error``, ``--timeout``,
-    ``--resume``.
-
-    ``--on-error raise`` (the default) keeps the historical fail-fast
-    behaviour and byte-identical artifacts; ``skip`` drops failing
-    points from the output, ``retry`` re-attempts them on a seeded
-    deterministic backoff schedule first. ``--timeout`` bounds each
-    point attempt. ``--resume`` journals completed points under
-    ``artifacts/checkpoints/`` (override with ``$REPRO_CHECKPOINT_DIR``)
-    and skips them bit-identically on a re-run after an interrupt.
-    """
-    parser.add_argument(
-        "--on-error", choices=["raise", "skip", "retry"], default="raise",
-        dest="on_error",
-        help="per-point failure policy: raise (default), skip, or retry with backoff",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-point deadline in seconds (over-budget points time out)",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="journal completed sweep points and skip them on re-run",
-    )
 
 
 def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
@@ -612,14 +591,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         print(redundancy_overhead(iap_iv, n=args.n, spares=spares).describe())
         print()
 
-    points = resilience_sweep(
-        rates,
-        n=args.n,
-        spares=args.spares,
-        on_error=args.on_error,
-        timeout_s=args.timeout,
-        resume=args.resume,
-    )
+    points = resilience_sweep(rates, n=args.n, spares=args.spares)
     print(render_resilience_table(points))
 
     if args.out != "-":
@@ -680,25 +652,12 @@ def _dispatch(args: argparse.Namespace) -> int:
             max_config_bits=args.max_config_bits,
             n=args.n,
         )
-        recommendation = explore(
-            requirements,
-            objective=objective,
-            on_error=args.on_error,
-            timeout_s=args.timeout,
-            resume=args.resume,
-        )
+        recommendation = explore(requirements, objective=objective)
         print(recommendation.explain())
     elif args.command == "costs":
         from repro.analysis.survey_costs import survey_cost_table
 
-        print(
-            survey_cost_table(
-                default_n=args.n,
-                on_error=args.on_error,
-                timeout_s=args.timeout,
-                resume=args.resume,
-            )
-        )
+        print(survey_cost_table(default_n=args.n))
     elif args.command == "report":
         from repro.reporting.bundle import generate_report
 
@@ -770,8 +729,8 @@ def main(argv: "list[str] | None" = None) -> int:
     returns exit code 2 (argparse's own usage-error convention), so
     shell pipelines can distinguish "the machine broke" from "the tool
     crashed". Ctrl-C prints one ``interrupted`` line and returns 130
-    (the shell's SIGINT convention); sweep progress journalled under
-    ``--resume`` survives the interrupt. Non-library exceptions still traceback: those are bugs.
+    (the shell's SIGINT convention). Non-library exceptions still
+    traceback: those are bugs.
 
     ``--trace FILE`` (on ``dse``, ``costs``, ``faults`` and ``report``)
     records the whole command as a span tree; the JSON lands in FILE
@@ -795,10 +754,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:
-        print(
-            "interrupted — completed sweep points are kept when --resume is used",
-            file=sys.stderr,
-        )
+        print("interrupted", file=sys.stderr)
         return 130
     finally:
         if trace_file is not None:

@@ -84,8 +84,8 @@ class RegistryError(ReproError):
 class CheckpointError(ReproError):
     """A sweep checkpoint journal cannot be used safely.
 
-    Raised when two ``--resume`` runs race for the same journal: the
-    advisory file lock a :class:`~repro.perf.journal.SweepCheckpoint`
+    Raised when two opens of the same job checkpoint race for its
+    journal: the advisory file lock a :class:`~repro.perf.journal.SweepCheckpoint`
     takes on open is already held by a live process, so appending would
     interleave two writers' records. The holder's identity (pid, start
     time) is reported so the operator can find the competing run.

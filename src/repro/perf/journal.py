@@ -1,9 +1,8 @@
-"""Checkpoint journals: crash-safe sweep progress for ``--resume``.
+"""Checkpoint journals: crash-safe sweep progress for ``/v1/jobs``.
 
-A :class:`SweepCheckpoint` is an append-only JSONL file under
-``artifacts/checkpoints/`` (overridable via the
-``REPRO_CHECKPOINT_DIR`` environment variable), keyed by a SHA-256
-content hash of the *sweep spec* — the sweep's name plus every
+A :class:`SweepCheckpoint` is an append-only JSONL file in a directory
+the caller names (the job store gives every job its own), keyed by a
+SHA-256 content hash of the *sweep spec* — the sweep's name plus every
 parameter that shapes its point grid. Two runs over the same spec share
 a journal; changing any parameter changes the digest, the filename and
 therefore the journal, so a resume can never mix incompatible runs.
@@ -24,13 +23,12 @@ Durability contract:
 * a crash *mid-append* leaves at most one truncated trailing line,
   which the loader detects and drops — the journal is self-healing.
 
-Only ``status == "ok"`` records count as done: failed and timed-out
-points are journalled for post-mortems but re-run on resume, as are
-``"crashed"`` points in journals written while sweeps could run on a
-process pool.
+The engine journals only completed (``"ok"``) points. Journals written
+by earlier builds may also hold ``"failed"``, ``"timed_out"`` or
+``"crashed"`` records; those still load and their points re-run.
 Values round-trip through pickle (base64-wrapped inside the JSON), so
 restored points are bit-identical to freshly computed ones — the
-property the byte-identical ``--resume`` artifact tests pin down. Treat
+property a resumed job's byte-identical result rests on. Treat
 journals like any local pickle: data you wrote, not data you downloaded.
 
 The record codec (:func:`dump_record` / :func:`load_record`: canonical
@@ -40,8 +38,8 @@ JSON plus a CRC32 of the body) and the ``flock`` primitive
 use the same line format.
 
 Single-writer discipline: opening a journal takes an advisory
-``flock`` on a ``.lock`` sidecar, so two concurrent ``--resume`` runs
-over the same spec fail fast with :class:`~repro.core.errors.CheckpointError`
+``flock`` on a ``.lock`` sidecar, so two concurrent opens of the same
+checkpoint fail fast with :class:`~repro.core.errors.CheckpointError`
 instead of interleaving appends. The lock dies with its holder (the
 kernel releases ``flock`` on process exit), which is the stale-lock
 story: a sidecar left behind by a crashed run does not block the next
@@ -76,14 +74,11 @@ from repro.core.atomicio import atomic_write_text
 from repro.core.errors import CheckpointError
 
 __all__ = [
-    "CHECKPOINT_DIR_ENV",
-    "DEFAULT_CHECKPOINT_DIR",
     "FileLock",
     "JOURNAL_FORMAT",
     "JournalEntry",
     "JournalLock",
     "SweepCheckpoint",
-    "checkpoint_directory",
     "dump_record",
     "load_record",
     "spec_digest",
@@ -91,18 +86,6 @@ __all__ = [
 
 #: Schema tag written into (and required of) every journal header.
 JOURNAL_FORMAT = "repro-sweep-journal/1"
-
-#: Environment variable overriding where journals live.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
-
-#: Where journals land when the environment does not say otherwise.
-DEFAULT_CHECKPOINT_DIR = "artifacts/checkpoints"
-
-
-def checkpoint_directory() -> Path:
-    """The journal directory: ``$REPRO_CHECKPOINT_DIR`` or the default."""
-    return Path(os.environ.get(CHECKPOINT_DIR_ENV) or DEFAULT_CHECKPOINT_DIR)
-
 
 def spec_digest(name: str, spec: Any) -> str:
     """SHA-256 over the canonical JSON encoding of ``(name, spec)``."""
@@ -198,8 +181,8 @@ class JournalLock:
             )
             raise CheckpointError(
                 f"checkpoint journal {self.path.stem!r} is locked by another "
-                f"--resume run{detail}; wait for it to finish or remove "
-                f"{self.path} if that process is truly gone"
+                f"open of the same checkpoint{detail}; wait for it to close or "
+                f"remove {self.path} if that process is truly gone"
             )
         if stale:
             owner_host = stale.get("host")
@@ -293,19 +276,16 @@ class SweepCheckpoint:
         self._lock: "JournalLock | None" = None
 
     @classmethod
-    def open(
-        cls, name: str, spec: Any, *, directory: "str | os.PathLike | None" = None
-    ) -> "SweepCheckpoint":
-        """Open (or create) the journal for ``(name, spec)``.
+    def open(cls, name: str, spec: Any, *, directory: "str | os.PathLike") -> "SweepCheckpoint":
+        """Open (or create) the journal for ``(name, spec)`` under ``directory``.
 
         Takes the journal's advisory :class:`JournalLock` first, so a
-        second concurrent run over the same spec fails fast with
+        second concurrent open of the same checkpoint fails fast with
         :class:`~repro.core.errors.CheckpointError` rather than
         interleaving appends into the same file.
         """
-        base = Path(directory) if directory is not None else checkpoint_directory()
         digest = spec_digest(name, spec)
-        checkpoint = cls(base / f"{name}-{digest[:16]}.jsonl", name, spec)
+        checkpoint = cls(Path(directory) / f"{name}-{digest[:16]}.jsonl", name, spec)
         lock = JournalLock(checkpoint.path).acquire()
         try:
             checkpoint._ensure_file()
@@ -372,33 +352,27 @@ class SweepCheckpoint:
         """Append one freshly computed outcome, flushed and fsync'd.
 
         Restored (``"skipped"``) outcomes are not re-journalled — they
-        are already on disk from the run that computed them.
+        are already on disk from the run that computed them. The record
+        keeps the ``attempts`` and ``error`` fields earlier builds
+        wrote, so journals stay readable across builds.
         """
         if self._handle is None:
             raise ValueError(f"checkpoint {self.path} is not open")
         if outcome.status == "skipped":
             return
-        payload = None
-        if outcome.status == "ok":
-            payload = base64.b64encode(pickle.dumps(outcome.value)).decode("ascii")
         record = {
             "index": outcome.index,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
+            "status": "ok",
+            "attempts": 1,
             "elapsed_s": outcome.elapsed_s,
-            "error": outcome.error,
-            "value": payload,
+            "error": None,
+            "value": base64.b64encode(pickle.dumps(outcome.value)).decode("ascii"),
         }
         self._handle.write(dump_record(record))
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._entries[outcome.index] = JournalEntry(
-            index=outcome.index,
-            status=outcome.status,
-            attempts=outcome.attempts,
-            elapsed_s=outcome.elapsed_s,
-            error=outcome.error,
-            value=outcome.value if outcome.status == "ok" else None,
+            outcome.index, "ok", 1, outcome.elapsed_s, None, outcome.value
         )
 
     def close(self) -> None:

@@ -56,6 +56,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 import secrets
 import shutil
 import threading
@@ -68,7 +69,7 @@ from typing import Any, Callable, Mapping
 from repro.core.atomicio import atomic_write_bytes, atomic_write_text
 from repro.core.errors import FaultError, ReproError
 from repro.obs import metrics as _metrics
-from repro.perf.engine import RetryPolicy, sweep
+from repro.perf.engine import sweep
 from repro.perf.journal import FileLock, dump_record, load_record
 from repro.serve.errors import (
     BadRequestError,
@@ -95,6 +96,7 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "JobsApi",
+    "RetryPolicy",
     "TransientJobError",
     "fold_events",
 ]
@@ -273,12 +275,58 @@ def fold_events(events: "list[dict[str, Any]]") -> "JobRecord | None":
     return record
 
 
+@dataclass(frozen=True, slots=True)
+class RetryPolicy:
+    """Deterministic seeded exponential backoff for job retries.
+
+    The delay before retry ``attempt`` (1-based) of item ``index`` is::
+
+        backoff_s * factor**(attempt - 1) * (1 + jitter * u)
+
+    where ``u`` is drawn from a PRNG seeded purely by ``(seed, index,
+    attempt)`` — the schedule is a pure function of the policy, so two
+    runs with the same seed back off identically (a tested property).
+
+        >>> RetryPolicy(seed=7).schedule(3) == RetryPolicy(seed=7).schedule(3)
+        True
+    """
+
+    max_retries: int = 2
+    backoff_s: float = 0.05
+    factor: float = 2.0
+    jitter: float = 0.25
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.backoff_s < 0.0:
+            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
+        if self.factor < 1.0:
+            raise ValueError(f"factor must be >= 1, got {self.factor}")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError(f"jitter must lie in [0, 1], got {self.jitter}")
+
+    def delay_s(self, index: int, attempt: int) -> float:
+        """Backoff before retry ``attempt`` (1-based) of item ``index``."""
+        if attempt < 1:
+            raise ValueError(f"attempt is 1-based, got {attempt}")
+        mixed = (self.seed & 0xFFFFFFFF) * 0x9E3779B1 + index
+        mixed = (mixed ^ (mixed >> 16)) * 0x85EBCA6B + attempt
+        noise = random.Random(mixed).random()
+        return self.backoff_s * self.factor ** (attempt - 1) * (1.0 + self.jitter * noise)
+
+    def schedule(self, index: int) -> tuple[float, ...]:
+        """The full backoff schedule for ``index``, one delay per retry."""
+        return tuple(self.delay_s(index, attempt) for attempt in range(1, self.max_retries + 1))
+
+
 def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = None) -> float:
     """The seeded backoff before retry ``attempt`` (1-based) of a job.
 
     A pure function of ``(job_id, attempt, policy)`` — two processes
-    scheduling the same retry agree on the delay exactly, the same
-    property :class:`repro.perf.engine.RetryPolicy` pins for sweeps.
+    scheduling the same retry agree on the delay exactly
+    (:class:`RetryPolicy`'s schedule is seeded, not random).
 
         >>> backoff_delay("j-1", 1) == backoff_delay("j-1", 1)
         True

@@ -45,7 +45,7 @@ class TestSweepInstrumentation:
         (root,) = trace.tracer().roots
         assert root.name == "perf.sweep"
         assert root.attributes["points"] == 3
-        assert set(root.attributes) == {"points", "on_error", "wall_s", "point_s", "resumed"}
+        assert set(root.attributes) == {"points", "wall_s", "point_s", "resumed"}
         assert root.attributes["wall_s"] >= 0
         points = _find(root, "perf.point")
         assert [p.attributes["index"] for p in points] == [0, 1, 2]

@@ -13,12 +13,9 @@ from repro.perf import (
     JournalLock,
     PointResult,
     SweepCheckpoint,
-    checkpoint_directory,
     spec_digest,
 )
 from repro.perf.journal import (
-    CHECKPOINT_DIR_ENV,
-    DEFAULT_CHECKPOINT_DIR,
     JOURNAL_FORMAT,
     FileLock,
     dump_record,
@@ -30,15 +27,17 @@ def _ok(index, value):
     return PointResult(index=index, point=index, value=value, elapsed_s=0.25)
 
 
-def _failed(index):
-    return PointResult(
-        index=index,
-        point=index,
-        value=None,
-        elapsed_s=0.1,
-        status="failed",
-        attempts=3,
-        error="ValueError('boom')",
+def _failed_line(index):
+    """A failed-point record as builds with sweep failure policies wrote it."""
+    return dump_record(
+        {
+            "index": index,
+            "status": "failed",
+            "attempts": 3,
+            "elapsed_s": 0.1,
+            "error": "ValueError('boom')",
+            "value": None,
+        }
     )
 
 
@@ -135,22 +134,13 @@ class TestFileLock:
         second.release()
 
 
-class TestCheckpointDirectory:
-    def test_default_directory(self, monkeypatch):
-        monkeypatch.delenv(CHECKPOINT_DIR_ENV, raising=False)
-        assert str(checkpoint_directory()) == DEFAULT_CHECKPOINT_DIR
-
-    def test_environment_override(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(tmp_path / "elsewhere"))
-        assert checkpoint_directory() == tmp_path / "elsewhere"
-
-
 class TestSweepCheckpoint:
     def test_round_trip_restores_only_ok_entries(self, tmp_path):
         spec = {"n": 4}
         with SweepCheckpoint.open("unit", spec, directory=tmp_path) as checkpoint:
             checkpoint.record(_ok(0, {"area": 12.5}))
-            checkpoint.record(_failed(1))
+            with open(checkpoint.path, "a", encoding="utf-8") as handle:
+                handle.write(_failed_line(1))
             checkpoint.record(_ok(2, (1, 2.5, "three")))
         reopened = SweepCheckpoint.open("unit", spec, directory=tmp_path)
         done = reopened.load()
@@ -367,7 +357,9 @@ class TestJournalLock:
         spec = {"n": 1}
         first = SweepCheckpoint.open("unit", spec, directory=tmp_path)
         try:
-            with pytest.raises(CheckpointError, match="locked by another") as info:
+            with pytest.raises(
+                CheckpointError, match="locked by another open of the same checkpoint"
+            ) as info:
                 SweepCheckpoint.open("unit", spec, directory=tmp_path)
             # The error names the live holder so the operator can find it.
             import os

@@ -1,13 +1,8 @@
-"""The sweep engine's contracts: ordering, errors, timing, paths.
-
-Each contract is tested along every path a sweep runs (see
-``sweep_paths``): the main thread and a worker thread must agree.
-"""
+"""The sweep engine's contracts: ordering, errors, timing."""
 
 import pytest
 
 from repro.perf import SweepResult, sweep
-from tests.perf.sweep_paths import PATHS, sweep_on
 
 
 def _square(x):
@@ -26,28 +21,19 @@ def _explode_if_negative(x):
     return x
 
 
-@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("size", [1, 3, 100])
-def test_results_come_back_in_input_order(path, size):
+def test_results_come_back_in_input_order(size):
     points = list(range(size - 1, -1, -1))
-    result = sweep_on(path, _square, points)
+    result = sweep(_square, points)
     assert list(result) == [p * p for p in points]
     assert len(result) == size
     assert [o.index for o in result.outcomes] == list(range(size))
     assert result[0] == (size - 1) ** 2
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_parallel_equals_serial(path):
-    # The historical name: every path must give the plain loop's values.
-    points = list(range(40))
-    assert sweep_on(path, _square, points).values == tuple(p * p for p in points)
-
-
-@pytest.mark.parametrize("path", PATHS)
-def test_exceptions_propagate(path):
+def test_exceptions_propagate():
     with pytest.raises(RuntimeError, match="point 7 exploded"):
-        sweep_on(path, _explode_on_seven, range(10))
+        sweep(_explode_on_seven, range(10))
 
 
 def test_lowest_indexed_failure_wins():
@@ -56,9 +42,8 @@ def test_lowest_indexed_failure_wins():
         sweep(_explode_if_negative, [1, -1, 2, -5, 3])
 
 
-@pytest.mark.parametrize("path", PATHS)
-def test_per_point_timing_is_captured(path):
-    result = sweep_on(path, _square, range(8))
+def test_per_point_timing_is_captured():
+    result = sweep(_square, range(8))
     assert len(result.timings) == 8
     assert all(t >= 0.0 for t in result.timings)
     assert result.point_s == pytest.approx(sum(result.timings))

@@ -127,6 +127,15 @@ class TestErrorContract:
             ["costs", "--jobs", "2"],
             ["dse", "--jobs=4"],
             ["faults", "--jobs", "0", "--out", "-"],
+            ["costs", "--on-error", "skip"],
+            ["dse", "--on-error=retry"],
+            ["faults", "--on-error", "raise", "--out", "-"],
+            ["costs", "--timeout", "1.5"],
+            ["dse", "--timeout=2"],
+            ["faults", "--timeout", "0.5", "--out", "-"],
+            ["costs", "--resume"],
+            ["dse", "--resume"],
+            ["faults", "--resume", "--out", "-"],
         ],
         ids=lambda argv: " ".join(token.partition("=")[0] for token in argv[:2]),
     )
@@ -139,12 +148,14 @@ class TestErrorContract:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1
-        what = "the process pool" if name == "--jobs" else "the distributed sweep fabric"
-        assert lines[0].startswith(f"error: {name} was removed with {what}; ")
         if name == "--jobs":
-            assert "runs its sweep as one serial loop" in lines[0]
+            what, why = "the process pool", "runs its sweep as one serial loop"
+        elif name in ("--on-error", "--timeout", "--resume"):
+            what, why = "the sweep failure policies", "the first failure ends the run"
         else:
-            assert "own process" in lines[0] and "--jobs" not in lines[0]
+            what, why = "the distributed sweep fabric", "own process"
+        assert lines[0].startswith(f"error: {name} was removed with {what}; ")
+        assert why in lines[0] and "--jobs" not in lines[0].partition(";")[2]
 
     def test_serve_module_rejects_fabric_workers(self, capsys):
         from repro.serve.__main__ import main as serve_main

@@ -1,45 +1,7 @@
-"""CLI-level resilience: flags, exit 130, and byte-identical --resume."""
-
-import pytest
+"""CLI-level resilience: Ctrl-C exits 130 with one clean line."""
 
 import repro.cli as cli
-from repro.cli import build_parser, main
-
-
-def _interrupt_after(monkeypatch, module, name, calls_before_interrupt):
-    """Replace ``module.name`` with a bomb that interrupts after N calls."""
-    real = getattr(module, name)
-    state = {"calls": 0}
-
-    def bomb(*args, **kwargs):
-        state["calls"] += 1
-        if state["calls"] > calls_before_interrupt:
-            raise KeyboardInterrupt
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, bomb)
-    return real
-
-
-class TestFlagParsing:
-    def test_resilience_flags_parse(self):
-        args = build_parser().parse_args(
-            ["dse", "--on-error", "skip", "--timeout", "1.5", "--resume"]
-        )
-        assert args.on_error == "skip"
-        assert args.timeout == 1.5
-        assert args.resume is True
-
-    @pytest.mark.parametrize("command", ["dse", "costs", "faults"])
-    def test_defaults_keep_the_historical_behaviour(self, command):
-        args = build_parser().parse_args([command])
-        assert args.on_error == "raise"
-        assert args.timeout is None
-        assert args.resume is False
-
-    def test_bad_on_error_is_a_usage_error(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["dse", "--on-error", "explode"])
+from repro.cli import main
 
 
 class TestKeyboardInterrupt:
@@ -55,66 +17,3 @@ class TestKeyboardInterrupt:
         assert "interrupted" in captured.err
         assert "Traceback" not in captured.err
         assert len(captured.err.strip().splitlines()) == 1
-
-
-class TestResumeByteIdentical:
-    def test_dse_resume_reproduces_the_uninterrupted_stdout(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.analysis import pareto
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        argv = ["dse", "--min-flexibility", "2", "--n", "8"]
-        assert main(argv) == 0
-        clean = capsys.readouterr().out
-
-        real = _interrupt_after(monkeypatch, pareto, "_design_point", 6)
-        assert main(argv + ["--resume"]) == 130
-        interrupted = capsys.readouterr()
-        assert "interrupted" in interrupted.err
-
-        monkeypatch.setattr(pareto, "_design_point", real)
-        assert main(argv + ["--resume"]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed == clean
-
-    def test_faults_resume_writes_byte_identical_csv(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.analysis import resilience
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path / "journals"))
-        clean_csv = tmp_path / "clean.csv"
-        resumed_csv = tmp_path / "resumed.csv"
-        base = ["faults", "--n", "4"]
-        assert main(base + ["--out", str(clean_csv)]) == 0
-        capsys.readouterr()
-
-        real = _interrupt_after(monkeypatch, resilience, "_resilience_point", 9)
-        assert main(base + ["--out", str(resumed_csv), "--resume"]) == 130
-        capsys.readouterr()
-        assert not resumed_csv.exists()  # interrupted before the write
-
-        monkeypatch.setattr(resilience, "_resilience_point", real)
-        assert main(base + ["--out", str(resumed_csv), "--resume"]) == 0
-        capsys.readouterr()
-        assert resumed_csv.read_bytes() == clean_csv.read_bytes()
-
-    def test_costs_resume_reproduces_the_uninterrupted_stdout(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from repro.analysis import survey_costs
-
-        monkeypatch.setenv("REPRO_CHECKPOINT_DIR", str(tmp_path))
-        argv = ["costs", "--n", "8"]
-        assert main(argv) == 0
-        clean = capsys.readouterr().out
-
-        real = _interrupt_after(monkeypatch, survey_costs, "cost_point", 5)
-        assert main(argv + ["--resume"]) == 130
-        capsys.readouterr()
-
-        monkeypatch.setattr(survey_costs, "cost_point", real)
-        assert main(argv + ["--resume"]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed == clean
