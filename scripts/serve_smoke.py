@@ -224,7 +224,7 @@ def main(argv: "list[str] | None" = None) -> int:
         "--out", default="artifacts/serve_smoke.json", metavar="FILE"
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="server worker threads"
+        "--workers", type=int, default=4, help="requests the server executes at once"
     )
     parser.add_argument(
         "--processes", type=int, default=1,

@@ -2,7 +2,7 @@
 
 A dependency-free HTTP service (stdlib ``http.server``) exposing the
 paper's pipeline as JSON endpoints, built for overload rather than for
-the happy path: bounded worker pool behind an explicit admission queue,
+the happy path: an admission gate bounding running and waiting calls,
 token-bucket rate limiting, per-request deadlines that cancel queued
 work, and a graceful SIGTERM/SIGINT drain. The data plane adds HTTP/1.1
 keep-alive, a bounded response cache over the pure endpoints, batch
@@ -46,7 +46,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "fold_events",
         ),
         "lifecycle": ("DrainController", "install_signal_handlers"),
-        "limits": ("Deadline", "Job", "TokenBucket", "WorkerPool"),
+        "limits": ("AdmissionGate", "Deadline", "TokenBucket"),
         "prefork": ("run_prefork", "supports_prefork"),
         "router": ("Request", "Response", "Router", "TaxonomyService"),
         "server": ("ServerConfig", "ServiceApp", "TaxonomyHTTPServer", "run_server"),

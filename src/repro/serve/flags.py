@@ -48,7 +48,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="worker threads executing taxonomy work (default 4)",
+        help="requests executing at once (default 4)",
     )
     parser.add_argument(
         "--processes", type=int, default=1,
@@ -57,7 +57,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser, *, default_port: int) -
     )
     parser.add_argument(
         "--queue-depth", type=int, default=16,
-        help="requests allowed to wait for a worker before 503s (default 16)",
+        help="requests allowed to wait for a slot before 503s (default 16)",
     )
     parser.add_argument(
         "--keepalive-requests", type=int, default=100,

@@ -1,4 +1,4 @@
-"""Admission control: deadlines, token-bucket rate limiting, worker pool.
+"""Admission control: deadlines, token-bucket rate limiting, admission gate.
 
 These are the service's load-shedding primitives. The design point is
 the survey's synchronization lesson: a server under overload must fail
@@ -10,16 +10,15 @@ Three pieces, each independently testable with an injected clock:
 
 * :class:`Deadline` — a monotonic time budget carried by each request;
 * :class:`TokenBucket` — rate limiting (reject with 429 + Retry-After);
-* :class:`WorkerPool` — a fixed pool of worker threads behind a
-  depth-bounded admission queue (reject with 503 when full). Jobs whose
-  deadline expires while still queued are *cancelled*: the worker skips
-  them entirely, so an expired request never occupies a worker and
-  never strands the responding thread.
+* :class:`AdmissionGate` — at most ``workers`` calls running and
+  ``queue_depth`` waiting (reject with 503 beyond that). Each call runs
+  on the thread that asked for it. A call whose deadline expires while
+  it waits is *cancelled*: it never runs, so an expired request never
+  occupies a slot.
 """
 
 from __future__ import annotations
 
-import collections
 import threading
 import time
 from typing import Any, Callable
@@ -27,17 +26,13 @@ from typing import Any, Callable
 from repro.obs import metrics as _metrics
 from repro.serve.errors import DeadlineExceededError, OverloadedError, RateLimitedError
 
-__all__ = ["Deadline", "TokenBucket", "Job", "WorkerPool"]
+__all__ = ["Deadline", "TokenBucket", "AdmissionGate"]
 
 
-_QUEUE_DEPTH = _metrics.REGISTRY.gauge(
-    "serve.queue_depth", help="jobs waiting in the admission queue"
-)
-_INFLIGHT = _metrics.REGISTRY.gauge(
-    "serve.inflight", help="jobs currently executing on pool workers"
-)
+_QUEUE_DEPTH = _metrics.REGISTRY.gauge("serve.queue_depth", help="calls waiting for admission")
+_INFLIGHT = _metrics.REGISTRY.gauge("serve.inflight", help="calls running under the admission gate")
 _CANCELLED = _metrics.REGISTRY.counter(
-    "serve.cancelled_jobs", help="queued jobs cancelled before execution (expired deadlines)"
+    "serve.cancelled_jobs", help="calls whose deadline passed while waiting"
 )
 
 
@@ -131,176 +126,107 @@ class TokenBucket:
             )
 
 
-class Job:
-    """One unit of admitted work: a thunk plus its completion state.
+class AdmissionGate:
+    """At most ``workers`` calls running at once, ``queue_depth`` waiting.
 
-    The submitting thread waits on :meth:`wait`; a pool worker runs
-    :meth:`execute`. :meth:`cancel` wins any race with the worker — a
-    job transitions to exactly one of ``done`` or ``cancelled``.
+    Admission happens on the calling thread, which then runs the call
+    itself: no hand-off to another thread, so a request wakes up once
+    for its socket and never again for its result. A call past both
+    bounds raises :class:`OverloadedError` immediately rather than
+    blocking — the caller turns that into a 503 + Retry-After, which is
+    the only honest answer an overloaded server can give quickly.
     """
 
-    __slots__ = ("fn", "deadline", "_event", "_lock", "_started", "_cancelled", "result", "error")
-
-    def __init__(self, fn: Callable[[], Any], deadline: "Deadline | None" = None):
-        self.fn = fn
-        self.deadline = deadline
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._started = False
-        self._cancelled = False
-        self.result: Any = None
-        self.error: "BaseException | None" = None
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` won the race against execution."""
-        return self._cancelled
-
-    @property
-    def done(self) -> bool:
-        """True once the job has a result or an error."""
-        return self._event.is_set()
-
-    def cancel(self) -> bool:
-        """Cancel if not yet started; returns True when the job will be skipped."""
-        with self._lock:
-            if self._started:
-                return False
-            self._cancelled = True
-            return True
-
-    def execute(self) -> bool:
-        """Run the thunk unless cancelled; returns False for a skipped job."""
-        with self._lock:
-            if self._cancelled:
-                return False
-            if self.deadline is not None and self.deadline.expired:
-                # The deadline lapsed while queued: skip, don't burn a worker.
-                self._cancelled = True
-                return False
-            self._started = True
-        try:
-            self.result = self.fn()
-        except BaseException as error:  # noqa: BLE001 - transported to the waiter
-            self.error = error
-        finally:
-            self._event.set()
-        return True
-
-    def wait(self, timeout_s: "float | None") -> bool:
-        """Block until done (True) or the timeout lapses (False)."""
-        return self._event.wait(timeout_s)
-
-
-class WorkerPool:
-    """``workers`` threads draining a queue bounded at ``queue_depth``.
-
-    Admission is strict: a submit against a full queue raises
-    :class:`OverloadedError` immediately rather than blocking — the
-    caller turns that into a 503 + Retry-After, which is the only
-    honest answer an overloaded server can give quickly.
-    """
-
-    def __init__(self, workers: int = 4, queue_depth: int = 16, *, name: str = "serve"):
+    def __init__(self, workers: int = 4, queue_depth: int = 16):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if queue_depth < 0:
             raise ValueError(f"queue_depth must be >= 0, got {queue_depth}")
         self.workers = workers
         self.queue_depth = queue_depth
-        self._queue: collections.deque[Job] = collections.deque()
-        self._lock = threading.Lock()
-        self._available = threading.Semaphore(0)
-        self._inflight = 0
+        self._slot_freed = threading.Condition()
+        self._running = 0
+        self._waiting = 0
         self._shutdown = False
-        self._threads = [
-            threading.Thread(target=self._worker, name=f"{name}-worker-{i}", daemon=True)
-            for i in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
 
-    def submit(self, fn: Callable[[], Any], *, deadline: "Deadline | None" = None) -> Job:
-        """Queue a thunk; raises :class:`OverloadedError` when at depth."""
-        job = Job(fn, deadline)
-        with self._lock:
-            if self._shutdown:
-                raise OverloadedError("worker pool is shut down")
-            # A submission only *waits* once every worker is busy; idle
-            # workers turn the nominal queue bound into immediate pickup.
-            idle = self.workers - self._inflight
-            if len(self._queue) >= self.queue_depth + max(idle, 0):
+    def run(self, fn: Callable[[], Any], *, deadline: "Deadline | None" = None) -> Any:
+        """Admit under ``deadline``, then call ``fn`` on this thread.
+
+        Raises :class:`DeadlineExceededError` when the deadline lapses
+        before a slot is free (``fn`` never runs) or while ``fn`` runs
+        (its result is discarded), and :class:`OverloadedError` when
+        ``workers`` calls are running and ``queue_depth`` are waiting.
+        """
+        self._enter(deadline)
+        try:
+            result = fn()
+        finally:
+            self._leave()
+        if deadline is not None and deadline.expired:
+            raise DeadlineExceededError(
+                f"deadline of {deadline.budget_s:.3f}s exceeded while executing"
+            )
+        return result
+
+    def _enter(self, deadline: "Deadline | None") -> None:
+        with self._slot_freed:
+            self._check_admissible(deadline)
+            if self._running < self.workers:
+                self._take_slot()
+                return
+            if self._waiting >= self.queue_depth:
                 raise OverloadedError(
                     f"admission queue full ({self.queue_depth} waiting); retry later"
                 )
-            self._queue.append(job)
-            _QUEUE_DEPTH.set(len(self._queue))
-        self._available.release()
-        return job
+            self._waiting += 1
+            _QUEUE_DEPTH.set(self._waiting)
+            try:
+                while self._running >= self.workers:
+                    self._slot_freed.wait(None if deadline is None else deadline.remaining_s())
+                    self._check_admissible(deadline)
+            except BaseException:
+                # Pass on a wake-up this waiter consumed but cannot use.
+                if self._running < self.workers:
+                    self._slot_freed.notify()
+                raise
+            finally:
+                self._waiting -= 1
+                _QUEUE_DEPTH.set(self._waiting)
+            self._take_slot()
 
-    def run(self, fn: Callable[[], Any], *, deadline: "Deadline | None" = None) -> Any:
-        """Submit and wait under ``deadline``; cancels on expiry.
-
-        Raises :class:`DeadlineExceededError` when the deadline lapses
-        first — whether the job was still queued (it is cancelled and
-        never runs) or already executing (the result is discarded; the
-        worker finishes on its own without stranding this thread).
-        """
-        job = self.submit(fn, deadline=deadline)
-        timeout = None if deadline is None else deadline.remaining_s()
-        if job.wait(None if timeout is None else max(timeout, 0.0)):
-            if job.error is not None:
-                raise job.error
-            return job.result
-        if job.cancel():
+    def _check_admissible(self, deadline: "Deadline | None") -> None:
+        if self._shutdown:
+            raise OverloadedError("admission gate is shut down")
+        if deadline is not None and deadline.expired:
             _CANCELLED.inc()
             raise DeadlineExceededError(
                 f"deadline of {deadline.budget_s:.3f}s exceeded while queued"
             )
-        raise DeadlineExceededError(
-            f"deadline of {deadline.budget_s:.3f}s exceeded while executing"
-        )
 
-    def _worker(self) -> None:
-        while True:
-            self._available.acquire()
-            with self._lock:
-                if self._shutdown and not self._queue:
-                    return
-                job = self._queue.popleft() if self._queue else None
-                _QUEUE_DEPTH.set(len(self._queue))
-                if job is not None:
-                    self._inflight += 1
-                    _INFLIGHT.set(self._inflight)
-            if job is None:
-                continue
-            try:
-                if not job.execute():
-                    _CANCELLED.inc()
-            finally:
-                with self._lock:
-                    self._inflight -= 1
-                    _INFLIGHT.set(self._inflight)
+    def _take_slot(self) -> None:
+        self._running += 1
+        _INFLIGHT.set(self._running)
+
+    def _leave(self) -> None:
+        with self._slot_freed:
+            self._running -= 1
+            _INFLIGHT.set(self._running)
+            if self._shutdown:
+                self._slot_freed.notify_all()
+            else:
+                self._slot_freed.notify()
 
     @property
     def queued(self) -> int:
-        """Jobs currently waiting in the admission queue."""
-        with self._lock:
-            return len(self._queue)
+        """Calls currently waiting for a slot."""
+        return self._waiting
 
     def shutdown(self, *, drain_s: "float | None" = 5.0) -> bool:
-        """Stop accepting, let workers finish, join within ``drain_s``.
+        """Refuse new calls, turn waiters away, wait for running ones.
 
-        Returns True when every worker thread exited inside the budget.
+        Returns True when no call was running any more within ``drain_s``.
         """
-        with self._lock:
+        with self._slot_freed:
             self._shutdown = True
-        for _ in self._threads:
-            self._available.release()
-        deadline = None if drain_s is None else time.monotonic() + drain_s
-        clean = True
-        for thread in self._threads:
-            budget = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-            thread.join(budget)
-            clean = clean and not thread.is_alive()
-        return clean
+            self._slot_freed.notify_all()
+            return self._slot_freed.wait_for(lambda: self._running == 0, drain_s)

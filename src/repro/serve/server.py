@@ -6,28 +6,29 @@ Layering (transport at the edge, everything testable without sockets)::
         -> ServiceApp.dispatch        admission pipeline (this module)
             -> DrainController        reject new work mid-drain (503)
             -> TokenBucket            rate limiting (429 + Retry-After)
-            -> ResponseCache          pure-endpoint hits skip the pool
-            -> WorkerPool             bounded concurrency + queue (503),
+            -> ResponseCache          pure-endpoint hits skip the gate
+            -> AdmissionGate          bounded concurrency + waiters (503),
                                       per-request deadlines (504)
                 -> Router.handle      endpoint handlers (repro.serve.router)
 
 The data plane speaks HTTP/1.1 with keep-alive: one connection thread
 serves many requests (``keepalive_requests`` per connection, closed
 after ``keepalive_idle_s`` idle seconds), so steady clients pay the TCP
-handshake once, not per request. Connection threads never execute
-taxonomy work themselves: they enqueue a job on the bounded pool and
-wait under the request deadline, so the number of concurrently
-*executing* requests is capped at ``workers`` and the number *buffered*
-at ``queue_depth`` — everything beyond that is shed immediately with a
-structured 503 and a ``Retry-After`` hint, keeping the p99 of accepted
-requests inside the configured deadline no matter the offered load.
+handshake once, not per request. Each connection thread runs its own
+requests, after the admission gate lets it in: at most ``workers``
+requests *execute* at once and at most ``queue_depth`` *wait* for a
+slot under their deadline — everything beyond that is shed immediately
+with a structured 503 and a ``Retry-After`` hint, keeping the p99 of
+accepted requests inside the configured deadline no matter the offered
+load. The response leaves in one send: status line, headers and body
+in one buffer.
 
 Two multipliers sit on top of the single-process pipeline:
 
 * a bounded :class:`~repro.serve.cache.ResponseCache` over the pure
   endpoints (``/v1/classify``, ``/v1/costs``) — a hit is answered by
   the connection thread itself, after drain and rate-limit admission
-  but without queueing for a worker;
+  but without waiting at the admission gate;
 * a pre-fork front end (``processes > 1``): N worker processes share
   the listen port via ``SO_REUSEPORT`` (:mod:`repro.serve.prefork`),
   each running this exact pipeline, with ``/v1/metrics`` and
@@ -36,7 +37,7 @@ Two multipliers sit on top of the single-process pipeline:
 
 Batch endpoints (``POST /v1/classify`` and ``POST /v1/costs`` with an
 ``{"items": [...]}`` body) amortise admission: one drain check, one
-rate-limit token and one pool job cover up to ``MAX_BATCH_ITEMS``
+rate-limit token and one admission cover up to ``MAX_BATCH_ITEMS``
 signatures, each answered (or failed) independently in the response's
 ``results`` array.
 """
@@ -65,7 +66,7 @@ from repro.serve.errors import (
 )
 from repro.serve.fleet import FleetBus, render_fleet_prometheus
 from repro.serve.lifecycle import DrainController, install_signal_handlers
-from repro.serve.limits import Deadline, TokenBucket, WorkerPool
+from repro.serve.limits import AdmissionGate, Deadline, TokenBucket
 from repro.serve.router import Request, Response
 from repro.serve.validation import (
     MAX_BODY_BYTES,
@@ -85,15 +86,16 @@ __all__ = [
 #: The interpreter switch interval (s) :func:`run_server` serves with.
 #: Every thread of a serving process shares one interpreter lock, and a
 #: thread waiting for it may take it from a running one only after
-#: ``sys.getswitchinterval()`` (CPython's default is 5 ms). A single
-#: request needs the lock several times (socket wake-up, hand-off to
-#: the pool, return, response write), so next to a running batch the
-#: 5 ms default set its latency: ~5.8 ms median against ~0.7 ms idle.
-#: 0.5 ms brings that to ~1.4 ms. A forced switch happens only while a
-#: second thread waits for the lock; two CPU-bound batches running at
-#: once swap it every interval and lose ~14% of their throughput (22%
-#: at 0.25 ms). See docs/serving.md section 10. Not a flag: no
-#: deployment needs another value.
+#: ``sys.getswitchinterval()`` (CPython's default is 5 ms). Next to a
+#: running batch, a single request waits for the lock when its socket
+#: wakes the connection thread and again after the one send of its
+#: response. When requests also handed off to a worker thread and back,
+#: the 5 ms default set their latency at ~5.8 ms median against ~0.7 ms
+#: idle, and 0.5 ms brought that to ~1.4 ms. A forced switch happens
+#: only while a second thread waits for the lock; two CPU-bound batches
+#: running at once swap it every interval and lose ~14% of their
+#: throughput (22% at 0.25 ms). See docs/serving.md section 10. Not a
+#: flag: no deployment needs another value.
 SERVE_SWITCH_INTERVAL_S = 0.0005
 
 
@@ -129,9 +131,9 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Worker threads executing taxonomy work (bounded concurrency).
+    #: Requests executing at once (bounded concurrency).
     workers: int = 4
-    #: Requests allowed to wait for a worker before 503s start.
+    #: Requests allowed to wait for a slot before 503s start.
     queue_depth: int = 16
     #: Per-request deadline in seconds (``None`` disables, not advised).
     deadline_s: "float | None" = 2.0
@@ -185,7 +187,7 @@ class ServerConfig:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.processes < 1:
             raise ValueError(f"processes must be >= 1, got {self.processes}")
-        # The pool's and the limiter's own checks, made here too so a
+        # The gate's and the limiter's own checks, made here too so a
         # pre-fork parent refuses them before it forks any worker.
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -234,7 +236,7 @@ class ServiceApp:
         self._clock = clock
         self.drain = DrainController()
         self.limiter = TokenBucket(self.config.rate, self.config.burst, clock=clock)
-        self.pool = WorkerPool(self.config.workers, self.config.queue_depth)
+        self.gate = AdmissionGate(self.config.workers, self.config.queue_depth)
         self.service = TaxonomyService()
         self.router = self.service.router
         self.response_cache = ResponseCache(self.config.cache_size)
@@ -278,7 +280,7 @@ class ServiceApp:
         return {
             "pid": os.getpid(),
             "inflight": self.drain.inflight,
-            "queued": self.pool.queued,
+            "queued": self.gate.queued,
             "draining": self.drain.draining,
             "cache": self.response_cache.stats(),
         }
@@ -318,7 +320,7 @@ class ServiceApp:
         payload = {
             "status": "ready" if ready else "draining",
             "inflight": self.drain.inflight,
-            "queued": self.pool.queued,
+            "queued": self.gate.queued,
             "cache": self.response_cache.stats(),
             "fleet": fleet_view,
         }
@@ -413,11 +415,11 @@ class ServiceApp:
     # -- the response cache and batch executor ---------------------------
 
     def _run_single(self, request: Request, deadline: "Deadline | None") -> Response:
-        """One admitted request: cache probe, then the bounded pool.
+        """One admitted request: cache probe, then the admission gate.
 
-        A hit is answered by the calling (connection) thread itself — no
-        queueing, no worker — which is why the pure endpoints stay fast
-        even when the pool is saturated with expensive work.
+        A hit is answered without passing the gate, which is why the
+        pure endpoints stay fast even when every slot is taken by
+        expensive work.
         """
         cache = self.response_cache
         key = (
@@ -436,7 +438,7 @@ class ServiceApp:
                 cache.put(key, response)
             return response
 
-        return self.pool.run(handle, deadline=deadline)
+        return self.gate.run(handle, deadline=deadline)
 
     def _cached_handle(self, request: Request) -> Response:
         """Route one (batch-item) request through the response cache."""
@@ -452,7 +454,7 @@ class ServiceApp:
         return response
 
     def _admit_batch(self, request: Request, deadline: "Deadline | None") -> Response:
-        """Validate and run a batch request as one pool job."""
+        """Validate and run a batch request as one admitted call."""
         if request.method != "POST":
             raise BadRequestError("a batch 'items' body requires POST")
         if request.path not in _BATCH_PATHS:
@@ -462,7 +464,7 @@ class ServiceApp:
             )
         _BATCH_REQUESTS.inc()
         _BATCH_ITEMS.inc(len(request.items))
-        return self.pool.run(lambda: self._run_batch(request), deadline=deadline)
+        return self.gate.run(lambda: self._run_batch(request), deadline=deadline)
 
     def _run_batch(self, request: Request) -> Response:
         """Execute every item under the shared deadline, independently.
@@ -577,7 +579,7 @@ class ServiceApp:
         )
 
     def shutdown(self, *, drain_s: "float | None" = None) -> bool:
-        """Drain in-flight requests and stop the pool; True when clean.
+        """Drain in-flight requests and close the gate; True when clean.
 
         Running async jobs are *interrupted*, not abandoned: the job
         drain journals them back to ``queued`` with their completed
@@ -587,13 +589,13 @@ class ServiceApp:
         budget = self.config.drain_s if drain_s is None else drain_s
         self.drain.begin_drain()
         drained = self.drain.wait_drained(budget)
-        pool_clean = self.pool.shutdown(drain_s=budget)
+        gate_clean = self.gate.shutdown(drain_s=budget)
         jobs_clean = True
         if self.jobs is not None:
             jobs_clean = self.jobs.drain(max(budget, 0.1))
         if self.fleet is not None:
             self.fleet.close()
-        return drained and pool_clean and jobs_clean
+        return drained and gate_clean and jobs_clean
 
 
 class TaxonomyHTTPServer(ThreadingHTTPServer):
@@ -644,9 +646,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
-    # Headers and body are separate small writes; on a keep-alive
-    # connection Nagle would hold the body for the client's delayed ACK
-    # (~40ms per response). TCP_NODELAY keeps responses one round-trip.
+    # A response is one write, but one larger than a TCP segment ends in
+    # a partial segment that Nagle would hold for the client's delayed
+    # ACK (~40ms). TCP_NODELAY keeps every response one round-trip.
     disable_nagle_algorithm = True
 
     def setup(self) -> None:
@@ -690,6 +692,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._write(response)
 
     def _write(self, response: Response) -> None:
+        """Send the whole response in one write, then access-log it.
+
+        Status line, headers and body share one buffer: each separate
+        send would be one more wait for the interpreter lock next to a
+        running batch.
+        """
         encoded = (
             response.text.encode("utf-8")
             if response.text is not None
@@ -702,30 +710,40 @@ class _RequestHandler(BaseHTTPRequestHandler):
             and not self.close_connection
             and not self.server.app.drain.draining
         )
+        reason = self.responses.get(response.status, ("",))[0]
+        lines = [
+            f"{self.protocol_version} {response.status} {reason}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {response.content_type}",
+            f"Content-Length: {len(encoded)}",
+        ]
+        if keep:
+            idle_s = self.server.config.keepalive_idle_s
+            lines.append("Connection: keep-alive")
+            lines.append(f"Keep-Alive: timeout={idle_s:g}, max={remaining}")
+        else:
+            lines.append("Connection: close")
+            self.close_connection = True
+        lines.extend(f"{name}: {value}" for name, value in response.headers)
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        if self.request_version == "HTTP/0.9":  # HTTP/0.9 answers are bare bodies
+            head = b""
         try:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(encoded)))
-            if keep:
-                # send_header("Connection", ...) also syncs close_connection.
-                self.send_header("Connection", "keep-alive")
-                self.send_header(
-                    "Keep-Alive",
-                    f"timeout={self.server.config.keepalive_idle_s:g}, "
-                    f"max={remaining}",
-                )
-            else:
-                self.send_header("Connection", "close")
-            for name, value in response.headers:
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(encoded)
+            self.wfile.write(head + encoded)
         except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
             self.close_connection = True  # the client hung up first
+            return
+        self.log_request(response.status, len(encoded))
+
+    def log_request(self, code: "int | str" = "-", size: "int | str" = "-") -> None:
+        """Access-log one answer; :meth:`_write` calls it after the send."""
+        if self.server.config.log_requests:
+            super().log_request(code, size)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Access-log to stderr only when configured; never to stdout."""
-        if self.server.config.log_requests:  # pragma: no cover - log plumbing
+        if self.server.config.log_requests:
             super().log_message(format, *args)
 
 
@@ -774,17 +792,17 @@ def run_server(
         # serve_forever only returns once a drain has begun and the
         # listener stopped accepting; give in-flight requests their budget.
         drained = app.drain.wait_drained(config.drain_s)
-        pool_clean = app.pool.shutdown(drain_s=config.drain_s)
+        gate_clean = app.gate.shutdown(drain_s=config.drain_s)
         if app.jobs is not None:
             # Interrupt running jobs back to ``queued`` (checkpoints intact)
             # so whoever opens the store next resumes rather than restarts.
-            pool_clean = app.jobs.drain(max(config.drain_s, 0.1)) and pool_clean
+            gate_clean = app.jobs.drain(max(config.drain_s, 0.1)) and gate_clean
         if app.fleet is not None:
             app.fleet.close()
     finally:
         sys.setswitchinterval(previous_interval)
     leftover = app.drain.inflight
-    if drained and pool_clean:
+    if drained and gate_clean:
         if announce:
             print("drained cleanly, exiting", file=sys.stderr)
         return 0

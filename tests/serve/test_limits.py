@@ -1,7 +1,9 @@
-"""Unit tests for the admission-control primitives (deadlines, bucket, pool)."""
+"""Unit tests for the admission-control primitives (deadlines, bucket, gate)."""
 
 import itertools
+import sys
 import threading
+import time
 
 import pytest
 
@@ -10,7 +12,7 @@ from repro.serve.errors import (
     OverloadedError,
     RateLimitedError,
 )
-from repro.serve.limits import Deadline, Job, TokenBucket, WorkerPool
+from repro.serve.limits import AdmissionGate, Deadline, TokenBucket
 
 
 class FakeClock:
@@ -94,120 +96,194 @@ class TestTokenBucket:
             TokenBucket(5.0, burst=0)
 
 
-class TestJob:
-    def test_cancel_before_execute_skips(self):
-        job = Job(lambda: "value")
-        assert job.cancel()
-        assert not job.execute()
-        assert job.cancelled and not job.done
-
-    def test_execute_wins_the_race(self):
-        job = Job(lambda: "value")
-        assert job.execute()
-        assert not job.cancel()
-        assert job.result == "value"
-
-    def test_expired_deadline_skips_without_running(self):
-        clock = FakeClock()
-        deadline = Deadline(1.0, clock=clock)
-        clock.advance(2.0)
-        ran = []
-        job = Job(lambda: ran.append(1), deadline)
-        assert not job.execute()
-        assert job.cancelled and not ran
-
-    def test_errors_are_transported_not_raised(self):
-        job = Job(lambda: 1 / 0)
-        assert job.execute()
-        assert job.done
-        assert isinstance(job.error, ZeroDivisionError)
+def wait_until(predicate, timeout_s=5.0):
+    """Poll ``predicate`` until it holds; fail after ``timeout_s``."""
+    give_up = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < give_up, "condition not reached in time"
+        time.sleep(0.001)
 
 
-class TestWorkerPool:
-    def test_runs_work_and_returns_the_result(self):
-        pool = WorkerPool(workers=2, queue_depth=4)
+def occupy(gate):
+    """Hold one of ``gate``'s slots on a helper thread until released."""
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        entered.set()
+        release.wait(5.0)
+
+    thread = threading.Thread(target=gate.run, args=(hold,), daemon=True)
+    thread.start()
+    assert entered.wait(5.0)
+    return release, thread
+
+
+def start_waiter(gate, outcome, **kwargs):
+    """Call ``gate.run`` on a helper thread; its result or error lands in ``outcome``."""
+
+    def call():
         try:
-            assert pool.run(lambda: 21 * 2) == 42
-        finally:
-            assert pool.shutdown()
+            outcome.append(gate.run(lambda: "ran", **kwargs))
+        except Exception as error:  # noqa: BLE001 - handed to the test
+            outcome.append(error)
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    return thread
+
+
+class TestAdmissionGate:
+    def test_runs_work_and_returns_the_result(self):
+        gate = AdmissionGate(workers=2, queue_depth=4)
+        assert gate.run(lambda: 21 * 2) == 42
+        assert gate.shutdown()
+
+    def test_runs_on_the_calling_thread(self):
+        gate = AdmissionGate(workers=1, queue_depth=0)
+        assert gate.run(threading.get_ident) == threading.get_ident()
+        assert gate.shutdown()
 
     def test_handler_exceptions_propagate_to_the_caller(self):
-        pool = WorkerPool(workers=1, queue_depth=1)
-        try:
-            with pytest.raises(ZeroDivisionError):
-                pool.run(lambda: 1 / 0)
-        finally:
-            pool.shutdown()
+        gate = AdmissionGate(workers=1, queue_depth=1)
+        with pytest.raises(ZeroDivisionError):
+            gate.run(lambda: 1 / 0)
+        assert gate.shutdown()  # the failed call gave its slot back
 
     def test_queue_overflow_sheds_immediately(self):
-        pool = WorkerPool(workers=1, queue_depth=1)
-        release = threading.Event()
+        gate = AdmissionGate(workers=1, queue_depth=1)
+        release, holder = occupy(gate)
+        outcome = []
+        waiter = start_waiter(gate, outcome)  # fills the queue (depth 1)
         try:
-            blocker = pool.submit(release.wait)  # occupies the worker
-            pool.submit(lambda: None)  # fills the queue (depth 1)
+            wait_until(lambda: gate.queued == 1)
             with pytest.raises(OverloadedError, match="admission queue full"):
-                pool.submit(lambda: None)
+                gate.run(lambda: None)
         finally:
             release.set()
-            blocker.wait(5.0)
-            assert pool.shutdown()
+            holder.join(5.0)
+            waiter.join(5.0)
+        assert not holder.is_alive() and not waiter.is_alive()
+        assert outcome == ["ran"]  # the waiter got the freed slot
+        assert gate.shutdown()
 
     def test_idle_workers_extend_the_admission_bound(self):
-        # With nobody executing, `workers` submissions are admitted even
-        # at queue_depth=0 — they will be picked up immediately.
-        pool = WorkerPool(workers=2, queue_depth=0)
+        # With nobody running, `workers` calls are admitted even at
+        # queue_depth=0 — they take a free slot without waiting.
+        gate = AdmissionGate(workers=2, queue_depth=0)
+        release, holder = occupy(gate)
         try:
-            assert pool.run(lambda: "ok") == "ok"
+            assert gate.run(lambda: "ok") == "ok"
         finally:
-            pool.shutdown()
+            release.set()
+            holder.join(5.0)
+        assert gate.shutdown()
 
     def test_expired_deadline_cancels_queued_job(self):
-        ticks = itertools.count()
-        pool = WorkerPool(workers=1, queue_depth=2)
-        release = threading.Event()
+        gate = AdmissionGate(workers=1, queue_depth=2)
+        release, holder = occupy(gate)
+        ran = []
         try:
-            blocker = pool.submit(release.wait)
-            expired = Deadline(1.0, clock=lambda: float(next(ticks)))
-            ran = []
             with pytest.raises(DeadlineExceededError, match="while queued"):
-                pool.run(lambda: ran.append(1), deadline=expired)
-            assert not ran
+                gate.run(lambda: ran.append(1), deadline=Deadline(0.05))
+            assert gate.queued == 0
         finally:
             release.set()
-            blocker.wait(5.0)
-            assert pool.shutdown()
-            assert not ran  # the cancelled job never executed
+            holder.join(5.0)
+        assert gate.shutdown()
+        assert not ran  # the cancelled call never executed
+
+    def test_expired_deadline_is_refused_even_with_a_free_slot(self):
+        ticks = itertools.count()
+        gate = AdmissionGate(workers=1, queue_depth=0)
+        expired = Deadline(1.0, clock=lambda: float(next(ticks)))
+        ran = []
+        with pytest.raises(DeadlineExceededError, match="while queued"):
+            gate.run(lambda: ran.append(1), deadline=expired)
+        assert not ran
+        assert gate.shutdown()
 
     def test_slow_execution_times_out_as_executing(self):
-        pool = WorkerPool(workers=1, queue_depth=1)
-        release = threading.Event()
-        try:
-            with pytest.raises(DeadlineExceededError, match="while executing"):
-                pool.run(release.wait, deadline=Deadline(0.05))
-        finally:
-            release.set()
-            assert pool.shutdown()
+        gate = AdmissionGate(workers=1, queue_depth=1)
+        with pytest.raises(DeadlineExceededError, match="while executing"):
+            gate.run(lambda: time.sleep(0.2) or "late", deadline=Deadline(0.05))
+        assert gate.shutdown()
 
     def test_submit_after_shutdown_is_refused(self):
-        pool = WorkerPool(workers=1, queue_depth=1)
-        assert pool.shutdown()
+        gate = AdmissionGate(workers=1, queue_depth=1)
+        assert gate.shutdown()
         with pytest.raises(OverloadedError, match="shut down"):
-            pool.submit(lambda: None)
+            gate.run(lambda: None)
+
+    def test_shutdown_turns_waiters_away_and_waits_for_running_calls(self):
+        gate = AdmissionGate(workers=1, queue_depth=1)
+        release, holder = occupy(gate)
+        outcome = []
+        waiter = start_waiter(gate, outcome)
+        try:
+            wait_until(lambda: gate.queued == 1)
+            assert not gate.shutdown(drain_s=0.0)  # the holder still runs
+            waiter.join(5.0)
+            assert not waiter.is_alive()
+            assert isinstance(outcome[0], OverloadedError)
+            assert "shut down" in str(outcome[0])
+        finally:
+            release.set()
+            holder.join(5.0)
+        assert gate.shutdown(drain_s=5.0)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="workers"):
-            WorkerPool(workers=0)
+            AdmissionGate(workers=0)
         with pytest.raises(ValueError, match="queue_depth"):
-            WorkerPool(queue_depth=-1)
+            AdmissionGate(queue_depth=-1)
 
     def test_queued_property_counts_waiting_jobs(self):
-        pool = WorkerPool(workers=1, queue_depth=4)
-        release = threading.Event()
+        gate = AdmissionGate(workers=1, queue_depth=4)
+        release, holder = occupy(gate)
+        outcome = []
+        waiter = start_waiter(gate, outcome)
         try:
-            blocker = pool.submit(release.wait)
-            pool.submit(lambda: None)
-            assert pool.queued >= 1
+            wait_until(lambda: gate.queued == 1)
         finally:
             release.set()
-            blocker.wait(5.0)
-            pool.shutdown()
+            holder.join(5.0)
+            waiter.join(5.0)
+        assert gate.queued == 0 and outcome == ["ran"]
+        assert gate.shutdown()
+
+    def test_never_more_than_workers_run_at_once(self):
+        # More callers than cores and slots, a short switch interval to
+        # interleave them: a lost slot update would show up as more than
+        # `workers` concurrent calls, a lost wake-up as a caller that
+        # never returns.
+        gate = AdmissionGate(workers=2, queue_depth=8)
+        lock = threading.Lock()
+        running, peak, done = [0], [0], []
+
+        def call():
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(0)
+            with lock:
+                running[0] -= 1
+            return 1
+
+        def caller():
+            done.extend(gate.run(call) for _ in range(50))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, daemon=True) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            give_up = time.monotonic() + 10.0
+            for thread in threads:
+                thread.join(max(give_up - time.monotonic(), 0.0))
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(done) == 8 * 50
+        assert peak[0] <= 2
+        assert gate.queued == 0 and gate.shutdown(drain_s=0.0)

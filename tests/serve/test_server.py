@@ -1,14 +1,18 @@
 """HTTP-level tests: a real server on an ephemeral port per test."""
 
 import json
+import re
+import socket
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve.errors import OverloadedError
 from repro.serve.router import Response
-from repro.serve.server import ServerConfig, ServiceApp, TaxonomyHTTPServer
+from repro.serve.server import ServerConfig, ServiceApp, TaxonomyHTTPServer, _RequestHandler
 
 
 @pytest.fixture()
@@ -174,7 +178,7 @@ class TestLoadShedding:
             deadline = threading.Event()
             # Wait until the slow request actually occupies the worker.
             for _ in range(100):
-                if app.pool.queued == 0 and app.drain.inflight == 1:
+                if app.gate.queued == 0 and app.drain.inflight == 1:
                     break
                 deadline.wait(0.05)
             status, headers, payload = fetch(server.url + "/v1/costs?class=IAP-IV")
@@ -191,7 +195,7 @@ class TestLoadShedding:
         app.router.add(
             "GET",
             "/v1/slow",
-            lambda request: threading.Event().wait(5.0) or Response(),
+            lambda request: threading.Event().wait(0.5) or Response(),
         )
         server = serve(config, app=app)
         status, _, payload = fetch(server.url + "/v1/slow")
@@ -217,3 +221,196 @@ class TestConfigValidation:
     def test_rejects_non_positive_deadline(self):
         with pytest.raises(ValueError, match="deadline_s"):
             ServerConfig(deadline_s=0.0)
+
+
+class TestRequestsRunOnTheirConnectionThread:
+    def test_cache_miss_and_batch_run_on_the_dispatching_thread(self):
+        app = ServiceApp(ServerConfig(port=0))
+        seen = []
+
+        def recording(request):
+            seen.append(threading.get_ident())
+            return app.service.handle_costs(request)
+
+        for method in ("GET", "POST"):
+            app.router.add(method, "/v1/costs", recording)
+        body = json.dumps({"items": [{"class": "IAP-IV", "n": 8}, {"class": "IAP-IV", "n": 4}]})
+        try:
+            assert app.dispatch("GET", "/v1/costs?class=IAP-IV&n=16").status == 200
+            batch = app.dispatch("POST", "/v1/costs", body.encode())
+            assert (batch.status, batch.payload["errors"]) == (200, 0)
+        finally:
+            assert app.shutdown(drain_s=1.0)
+        assert seen == [threading.get_ident()] * 3
+
+
+#: The Date header every recorded response carries.
+FIXED_DATE = "Mon, 19 Oct 2026 00:00:00 GMT"
+
+
+class _RecordingWriter:
+    """A handler's ``wfile`` that keeps every chunk written through it."""
+
+    def __init__(self, inner, server):
+        self.inner, self.server = inner, server
+
+    def write(self, data):
+        self.server.writes.append(bytes(data))
+        if self.server.on_write is not None:
+            self.server.on_write()
+        return self.inner.write(data)
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
+
+    @property
+    def closed(self):
+        return self.inner.closed
+
+
+class _RecordingHandler(_RequestHandler):
+    """The real request handler, with a fixed Date and recorded writes."""
+
+    def setup(self):
+        super().setup()
+        self.wfile = _RecordingWriter(self.wfile, self.server)
+
+    def date_time_string(self, timestamp=None):
+        return FIXED_DATE
+
+
+def exchange(app, raw, *, on_write=None):
+    """Serve the raw request bytes on one TCP connection in this thread.
+
+    Returns the handler's writes and every byte the client received.
+    """
+    server = SimpleNamespace(config=app.config, app=app, writes=[], on_write=on_write)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        client = socket.create_connection(listener.getsockname(), timeout=5.0)
+        conn, address = listener.accept()
+    with client, conn:
+        client.sendall(raw)
+        client.shutdown(socket.SHUT_WR)  # the handler sees EOF after the request
+        _RecordingHandler(conn, address, server)
+        conn.shutdown(socket.SHUT_WR)
+        wire = b"".join(iter(lambda: client.recv(65536), b""))
+    return server.writes, wire
+
+
+def _busy(request):
+    raise OverloadedError("every slot is taken; retry later")
+
+
+_GET = b"GET %s HTTP/1.1\r\nHost: x\r\n%s\r\n"
+_HEAD = (
+    f"Server: <server>\r\nDate: {FIXED_DATE}\r\n"
+    "Content-Type: {type}\r\nContent-Length: {length}\r\n"
+)
+_KEEP = "Connection: keep-alive\r\nKeep-Alive: timeout=5, max=99\r\n"
+_CLOSE = "Connection: close\r\n"
+_JSON = "application/json"
+
+#: (request, status line, content type, connection headers, extra headers,
+#: body): the exact bytes of each response, as the stdlib's
+#: send_response/send_header/end_headers sequence frames them.
+WIRE_CASES = {
+    "json": (
+        _GET % (b"/v1/healthz", b""),
+        "HTTP/1.1 200 OK", _JSON, _KEEP, "", '{"status":"ok"}\n',
+    ),
+    "metrics-text": (
+        _GET % (b"/v1/metrics", b""),
+        "HTTP/1.1 200 OK", "text/plain; version=0.0.4", _KEEP, "",
+        "# TYPE repro_demo_total counter\nrepro_demo_total 1\n",
+    ),
+    "bad-content-length": (
+        b"POST /v1/classify HTTP/1.1\r\nHost: x\r\nContent-Length: abc\r\n\r\n",
+        "HTTP/1.1 400 Bad Request", _JSON, _CLOSE, "",
+        '{"error":{"code":"bad_request","message":"Content-Length must be a '
+        'non-negative integer no larger than 65536","status":400}}\n',
+    ),
+    "overloaded-retry-after": (
+        _GET % (b"/v1/busy", b""),
+        "HTTP/1.1 503 Service Unavailable", _JSON, _KEEP, "Retry-After: 1\r\n",
+        '{"error":{"code":"overloaded","message":"every slot is taken; retry later",'
+        '"retry_after_s":1.0,"status":503}}\n',
+    ),
+    "client-close": (
+        _GET % (b"/v1/healthz", b"Connection: close\r\n"),
+        "HTTP/1.1 200 OK", _JSON, _CLOSE, "", '{"status":"ok"}\n',
+    ),
+}
+
+
+class TestOneSendPerResponse:
+    @pytest.fixture()
+    def app(self):
+        app = ServiceApp(ServerConfig(port=0))
+        app.router.add("GET", "/v1/busy", _busy)
+        app._render_metrics = lambda: "# TYPE repro_demo_total counter\nrepro_demo_total 1\n"
+        yield app
+        app.shutdown(drain_s=1.0)
+
+    @staticmethod
+    def _unversioned(wire):
+        server = f"{_RequestHandler.server_version} {_RequestHandler.sys_version}"
+        return wire.replace(server.encode("latin-1"), b"<server>")
+
+    @pytest.mark.parametrize("case", sorted(WIRE_CASES))
+    def test_response_is_one_write_of_the_same_bytes(self, app, case):
+        raw, status_line, content_type, connection, extra, body = WIRE_CASES[case]
+        writes, wire = exchange(app, raw)
+        head = _HEAD.format(type=content_type, length=len(body.encode()))
+        expected = f"{status_line}\r\n{head}{connection}{extra}\r\n{body}".encode()
+        assert len(writes) == 1
+        assert writes[0] == wire
+        assert self._unversioned(wire) == expected
+
+    def test_draining_503_is_one_write_and_closes(self, app):
+        app.drain.begin_drain()
+        writes, wire = exchange(app, _GET % (b"/v1/costs?class=IAP-IV", b""))
+        body = (
+            '{"error":{"code":"draining","message":"server is draining; connection refused",'
+            '"retry_after_s":1.0,"status":503}}\n'
+        )
+        head = _HEAD.format(type=_JSON, length=len(body))
+        expected = (
+            f"HTTP/1.1 503 Service Unavailable\r\n{head}{_CLOSE}Retry-After: 1\r\n\r\n{body}"
+        )
+        assert len(writes) == 1
+        assert self._unversioned(wire) == expected.encode()
+
+    def test_http_0_9_answer_is_the_bare_body(self, app):
+        writes, wire = exchange(app, b"GET /v1/healthz\r\n")
+        assert writes == [wire] and wire == b'{"status":"ok"}\n'
+
+    def test_keep_alive_connection_answers_each_request_in_one_write(self, app):
+        raw = _GET % (b"/v1/healthz", b"") + _GET % (b"/v1/costs?class=IAP-IV", b"")
+        writes, wire = exchange(app, raw)
+        assert len(writes) == 2
+        assert b"".join(writes) == wire
+        assert [w.split(b"\r\n", 1)[0] for w in writes] == [b"HTTP/1.1 200 OK"] * 2
+
+    def test_access_log_line_is_written_after_the_send(self, capsys):
+        app = ServiceApp(ServerConfig(port=0, log_requests=True))
+        logged_before_send = []
+        try:
+            exchange(
+                app,
+                _GET % (b"/v1/healthz", b""),
+                on_write=lambda: logged_before_send.append(capsys.readouterr().err),
+            )
+        finally:
+            app.shutdown(drain_s=1.0)
+        assert logged_before_send == [""]
+        line = capsys.readouterr().err
+        assert re.fullmatch(
+            r'127\.0\.0\.1 - - \[[^\]]+\] "GET /v1/healthz HTTP/1\.1" 200 16\n', line
+        ), line
+
+    def test_access_log_is_silent_unless_configured(self, app, capsys):
+        exchange(app, _GET % (b"/v1/healthz", b""))
+        assert capsys.readouterr().err == ""
