@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.compare import compare_classes, similarity
 from repro.core.taxonomy import TaxonomyClass
 from repro.registry.survey import SurveyEntry, survey_table
@@ -21,21 +19,25 @@ __all__ = ["SimilarityMatrix", "survey_similarity", "nearest_neighbours"]
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """A labelled symmetric similarity matrix in [0, 1]."""
+    """A labelled symmetric similarity matrix in [0, 1].
+
+    ``values`` is a tuple of row tuples, row and column order that of
+    ``labels``.
+    """
 
     labels: tuple[str, ...]
-    values: np.ndarray
+    values: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
         n = len(self.labels)
-        if self.values.shape != (n, n):
+        if len(self.values) != n or any(len(row) != n for row in self.values):
             raise ValueError("matrix shape must match labels")
 
     def value(self, a: str, b: str) -> float:
         """The pairwise similarity score between architectures ``a`` and ``b``."""
         ia = self.labels.index(a)
         ib = self.labels.index(b)
-        return float(self.values[ia, ib])
+        return self.values[ia][ib]
 
     def most_similar_pairs(self, top: int = 5) -> list[tuple[str, str, float]]:
         """Distinct-label pairs sorted by similarity, descending."""
@@ -43,19 +45,13 @@ class SimilarityMatrix:
         n = len(self.labels)
         for i in range(n):
             for j in range(i + 1, n):
-                pairs.append(
-                    (self.labels[i], self.labels[j], float(self.values[i, j]))
-                )
+                pairs.append((self.labels[i], self.labels[j], self.values[i][j]))
         pairs.sort(key=lambda item: -item[2])
         return pairs[:top]
 
     def row(self, label: str) -> dict[str, float]:
         """One architecture's similarity scores against every other, in matrix order."""
-        index = self.labels.index(label)
-        return {
-            other: float(self.values[index, j])
-            for j, other in enumerate(self.labels)
-        }
+        return dict(zip(self.labels, self.values[self.labels.index(label)]))
 
 
 def _entry_class(entry: SurveyEntry) -> TaxonomyClass:
@@ -72,13 +68,13 @@ def survey_similarity() -> SimilarityMatrix:
     entries = survey_table()
     labels = tuple(entry.name for entry in entries)
     n = len(entries)
-    values = np.ones((n, n))
+    values = [[1.0] * n for _ in range(n)]
     classes = [_entry_class(entry) for entry in entries]
     for i in range(n):
         for j in range(i + 1, n):
             score = compare_classes(classes[i], classes[j]).similarity
-            values[i, j] = values[j, i] = score
-    return SimilarityMatrix(labels=labels, values=values)
+            values[i][j] = values[j][i] = score
+    return SimilarityMatrix(labels=labels, values=tuple(map(tuple, values)))
 
 
 def nearest_neighbours(name: str, *, top: int = 3) -> list[tuple[str, float]]:

@@ -486,11 +486,11 @@ def _run_jobs(args: argparse.Namespace) -> int:
 def _run_populations(args: argparse.Namespace) -> int:
     """The ``populations`` subcommand: seeded synthetic signature sets.
 
-    ``generate`` prints one canonical signature per line — exactly the
-    population a :class:`repro.core.batch.SignatureBatch` would be built
-    from; ``describe`` prints the class-occupancy table for the same
-    draw. Both are pure functions of (size, seed, mode, max-n):
-    re-running a command reproduces its output byte-for-byte.
+    ``generate`` prints one canonical signature per line; ``describe``
+    prints the class-occupancy table for the same draw, counted by the
+    scalar classifier, so neither action imports NumPy. Both are pure
+    functions of (size, seed, mode, max-n): re-running a command
+    reproduces its output byte-for-byte.
     """
     from repro.registry.populations import (
         PopulationSpec,

@@ -20,10 +20,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "flynn_class",
             "skillicorn_verdict",
         ),
-        # batch kernel
         "batch": (
             "BatchClassification",
-            "CompiledTaxonomy",
             "SignatureBatch",
             "classify_batch",
             "compile_taxonomy",

@@ -20,8 +20,8 @@ engine without a journal; see ``docs/performance.md`` and
 ``docs/jobs.md``. These analyses price their few dozen points by
 calling the scalar models directly: one command repeats almost no
 ``(class, n)`` pair, so a memoising cache would miss nearly every
-lookup (see ``docs/performance.md``), and at that size the scalar models beat the columnar
-:mod:`repro.core.batch` kernel, which serves large classify batches
+lookup (see ``docs/performance.md``). Classification has its own
+compiled table, :mod:`repro.core.batch`, which serves classify batches
 (``serve``'s ``POST /v1/classify``).
 """
 

@@ -21,7 +21,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PopulationSpec",
             "class_occupancy",
             "describe_population",
-            "generate_batch",
             "generate_signatures",
         ),
         "survey": (

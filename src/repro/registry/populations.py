@@ -1,10 +1,9 @@
-"""Seeded synthetic signature populations for the batch kernel.
+"""Seeded synthetic signature populations.
 
-The batch-classification kernel (:mod:`repro.core.batch`) earns its keep
-on *populations* — thousands to millions of signatures stepped as
-structure-of-arrays columns — but the survey only supplies 25 machines.
-This module manufactures arbitrarily large, **deterministic** synthetic
-populations:
+The ``populations`` CLI and ``/v1/jobs``' ``population`` kind work on
+*populations* — thousands to millions of signatures — but the survey
+only supplies 25 machines. This module manufactures arbitrarily
+large, **deterministic** synthetic populations:
 
 * ``stratified`` mode walks the 47 Table-I classes round-robin in serial
   order, so every class (including the four NI rows) is represented and
@@ -31,7 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from repro.core.batch import SignatureBatch, structural_signature, valid_structures
+from repro.core.batch import structural_signature, structure_of, valid_structures
 from repro.core.classify import canonical_class
 from repro.core.components import ComponentCount, Multiplicity
 from repro.core.errors import ReproError
@@ -43,7 +42,6 @@ __all__ = [
     "POPULATION_MODES",
     "PopulationSpec",
     "generate_signatures",
-    "generate_batch",
     "class_occupancy",
     "describe_population",
 ]
@@ -87,15 +85,6 @@ class PopulationSpec:
             raise ReproError("value_probability must lie in 0..1")
 
 
-def _structure_of(signature: Signature) -> tuple[int, int, tuple[int, ...]]:
-    """Project a signature onto its structural-space coordinates."""
-    return (
-        signature.ips.multiplicity.rank,
-        signature.dps.multiplicity.rank,
-        tuple(kind.rank for kind in signature.link_kinds()),
-    )
-
-
 def _decorated_count(
     count: ComponentCount, rng: random.Random, spec: PopulationSpec
 ) -> ComponentCount:
@@ -123,7 +112,7 @@ def generate_signatures(spec: PopulationSpec) -> tuple[Signature, ...]:
     rng = random.Random(spec.seed)
     if spec.mode == "stratified":
         structures: Sequence[tuple[int, int, tuple[int, ...]]] = [
-            _structure_of(cls.signature) for cls in all_classes()
+            structure_of(cls.signature) for cls in all_classes()
         ]
     else:
         structures = valid_structures()
@@ -142,14 +131,6 @@ def generate_signatures(spec: PopulationSpec) -> tuple[Signature, ...]:
             )
         )
     return tuple(out)
-
-
-def generate_batch(spec: PopulationSpec) -> SignatureBatch:
-    """Generate the population directly as kernel-ready SoA columns.
-
-    The rows are exactly ``generate_signatures(spec)`` in order.
-    """
-    return SignatureBatch.from_signatures(generate_signatures(spec))
 
 
 def class_occupancy(signatures: Iterable[Signature]) -> dict[int, int]:

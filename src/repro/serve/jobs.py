@@ -96,7 +96,6 @@ __all__ = [
     "JobRecord",
     "JobStore",
     "JobsApi",
-    "RetryPolicy",
     "TransientJobError",
     "fold_events",
 ]
@@ -275,66 +274,32 @@ def fold_events(events: "list[dict[str, Any]]") -> "JobRecord | None":
     return record
 
 
-@dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Deterministic seeded exponential backoff for job retries.
-
-    The delay before retry ``attempt`` (1-based) of item ``index`` is::
-
-        backoff_s * factor**(attempt - 1) * (1 + jitter * u)
-
-    where ``u`` is drawn from a PRNG seeded purely by ``(seed, index,
-    attempt)`` — the schedule is a pure function of the policy, so two
-    runs with the same seed back off identically (a tested property).
-
-        >>> RetryPolicy(seed=7).schedule(3) == RetryPolicy(seed=7).schedule(3)
-        True
-    """
-
-    max_retries: int = 2
-    backoff_s: float = 0.05
-    factor: float = 2.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0.0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
-        if self.factor < 1.0:
-            raise ValueError(f"factor must be >= 1, got {self.factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must lie in [0, 1], got {self.jitter}")
-
-    def delay_s(self, index: int, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (1-based) of item ``index``."""
-        if attempt < 1:
-            raise ValueError(f"attempt is 1-based, got {attempt}")
-        mixed = (self.seed & 0xFFFFFFFF) * 0x9E3779B1 + index
-        mixed = (mixed ^ (mixed >> 16)) * 0x85EBCA6B + attempt
-        noise = random.Random(mixed).random()
-        return self.backoff_s * self.factor ** (attempt - 1) * (1.0 + self.jitter * noise)
-
-    def schedule(self, index: int) -> tuple[float, ...]:
-        """The full backoff schedule for ``index``, one delay per retry."""
-        return tuple(self.delay_s(index, attempt) for attempt in range(1, self.max_retries + 1))
+#: Seeded exponential backoff for job retries: the delay before retry
+#: ``attempt`` (1-based) is ``BACKOFF_S * BACKOFF_FACTOR**(attempt - 1)
+#: * (1 + BACKOFF_JITTER * u)``, ``u`` in [0, 1) drawn from a PRNG seeded
+#: by the job id and the attempt.
+BACKOFF_S = 0.1
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.25
 
 
-def backoff_delay(job_id: str, attempt: int, *, policy: "RetryPolicy | None" = None) -> float:
+def backoff_delay(job_id: str, attempt: int) -> float:
     """The seeded backoff before retry ``attempt`` (1-based) of a job.
 
-    A pure function of ``(job_id, attempt, policy)`` — two processes
-    scheduling the same retry agree on the delay exactly
-    (:class:`RetryPolicy`'s schedule is seeded, not random).
+    A pure function of ``(job_id, attempt)`` — two processes scheduling
+    the same retry agree on the delay exactly.
 
         >>> backoff_delay("j-1", 1) == backoff_delay("j-1", 1)
         True
         >>> backoff_delay("j-1", 2) > backoff_delay("j-1", 1) / 2
         True
     """
-    chosen = policy if policy is not None else RetryPolicy(backoff_s=0.1, seed=0)
-    return chosen.delay_s(zlib.crc32(job_id.encode("utf-8")), attempt)
+    if attempt < 1:
+        raise ValueError(f"attempt is 1-based, got {attempt}")
+    mixed = zlib.crc32(job_id.encode("utf-8"))
+    mixed = (mixed ^ (mixed >> 16)) * 0x85EBCA6B + attempt
+    noise = random.Random(mixed).random()
+    return BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1) * (1.0 + BACKOFF_JITTER * noise)
 
 
 # -- the durable store -----------------------------------------------------
@@ -919,7 +884,6 @@ class JobManager:
         default_deadline_s: float = DEFAULT_DEADLINE_S,
         default_ttl_s: float = DEFAULT_TTL_S,
         default_max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        retry: "RetryPolicy | None" = None,
         clock: Callable[[], float] = time.time,
     ):
         if runners < 1:
@@ -934,7 +898,6 @@ class JobManager:
             "ttl_s": default_ttl_s,
             "max_attempts": default_max_attempts,
         }
-        self._retry = retry if retry is not None else RetryPolicy(backoff_s=0.1, seed=0)
         self._clock = clock
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -1109,7 +1072,7 @@ class JobManager:
             error, (TransientJobError, FaultError, OSError, TimeoutError)
         )
         if transient and record.attempts < record.max_attempts:
-            delay = backoff_delay(record.job_id, record.attempts, policy=self._retry)
+            delay = backoff_delay(record.job_id, record.attempts)
             self.store.append_event(
                 record.job_id,
                 "retrying",

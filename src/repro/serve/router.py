@@ -181,8 +181,8 @@ class TaxonomyService:
     def parse_classify_request(self, request: Request) -> Any:
         """Validate a classify request and build its :class:`Signature`.
 
-        Shared by the scalar handler and the batch kernel path, so both
-        reject malformed items with the exact same structured errors.
+        Shared by the scalar handler and the batch path, so both reject
+        malformed items with the exact same structured errors.
         """
         params = request.params
         require_known(params, _SIGNATURE_PARAMS)
@@ -204,9 +204,9 @@ class TaxonomyService:
     def classify_payload(signature: Any, result: Any) -> "dict[str, Any]":
         """Render one classification as the endpoint's response body.
 
-        Both the scalar handler and the vectorized batch path go through
-        this function, which (together with ``stable_json`` encoding) is
-        what makes kernel-on and kernel-off responses byte-identical.
+        Both the scalar handler and the batch path go through this
+        function, which (together with ``stable_json`` encoding) is what
+        makes a batch item's result byte-identical to its single response.
         """
         name = result.name
         return {

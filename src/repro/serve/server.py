@@ -475,7 +475,7 @@ class ServiceApp:
         whole batch (504) — by then every remaining item would time out
         anyway.
 
-        Classify batches take the vectorized kernel path; this per-item
+        Classify batches take the compiled-table path; this per-item
         loop serves the other batchable endpoint, ``/v1/costs``.
         """
         if request.path == "/v1/classify":
@@ -498,14 +498,14 @@ class ServiceApp:
         )
 
     def _run_classify_batch(self, request: Request) -> Response:
-        """Vectorized classify-batch execution via :mod:`repro.core.batch`.
+        """Classify-batch execution via :mod:`repro.core.batch`'s table.
 
         Three phases, preserving every observable of sending the items
         one by one: per-item deadline checks, per-item response-cache
         probes and per-item error isolation happen first (items are
         parsed by the same validation code the single-request handler
-        uses); the surviving signatures are then classified in one
-        table-gather; finally each payload is rendered by the shared
+        uses); the surviving signatures are then classified by one
+        table lookup each; finally each payload is rendered by the shared
         :meth:`~repro.serve.router.TaxonomyService.classify_payload`, so
         each result is byte-identical to the item's single-request body.
         A duplicate of an item already awaiting classification defers its

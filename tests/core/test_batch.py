@@ -1,14 +1,17 @@
-"""Parity tests for the columnar batch-classification kernel.
+"""Parity tests for the compiled taxonomy table.
 
-The contract of :mod:`repro.core.batch` is bit-exactness: every number
-the vectorized pass produces — class serial, implementability and the
-flexibility breakdown — must equal (``==``, not ``approx``) what the
-scalar classifier returns for the same signature. These tests enforce
-that over all 406 constructible structures, the 47-class table, the
+The contract of :mod:`repro.core.batch` is exactness: every table entry
+a batch row looks up — class, implementability and the flexibility
+breakdown — must equal (``==``, not ``approx``) what the scalar
+classifier returns for the same signature. These tests enforce that
+over all 406 constructible structures, the 47-class table, the
 25-architecture survey and hypothesis-random populations.
 """
 
-import numpy as np
+import itertools
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +21,13 @@ from repro.core.batch import (
     SignatureBatch,
     classify_batch,
     compile_taxonomy,
+    struct_index,
+    structure_of,
     structural_signature,
     valid_structures,
 )
-from repro.core.classify import canonical_class
+from repro.core.classify import canonical_class, classify
+from repro.core.components import ComponentCount
 from repro.core.errors import SignatureError
 from repro.core.flexibility import score_signature
 from repro.core.signature import make_signature
@@ -34,21 +40,33 @@ def assert_scalar_parity(signatures):
     """The whole contract in one helper: classify + score must match."""
     batch = SignatureBatch.from_signatures(signatures)
     classified = classify_batch(batch)
+    assert len(classified) == len(signatures)
     for row, signature in enumerate(signatures):
         expected_class = canonical_class(signature)
         expected_score = score_signature(signature)
-        assert int(classified.serial[row]) == expected_class.serial
-        assert bool(classified.implementable[row]) == expected_class.implementable
-        assert int(classified.flexibility[row]) == expected_score.total
-        assert classified.score(row) == expected_score
+        result = classified.classification(row, signature)
+        assert result.taxonomy_class is expected_class
+        assert result.implementable == expected_class.implementable
+        assert result.flexibility == expected_score.total
+        assert result.score == expected_score
+        assert result == classify(signature)
+
+
+def _all_structures():
+    """Every point of the structural space, in index order."""
+    return [
+        (ips_rank, dps_rank, kinds)
+        for ips_rank, dps_rank in itertools.product(range(4), repeat=2)
+        for kinds in itertools.product(range(3), repeat=5)
+    ]
 
 
 class TestCompiledTables:
     def test_valid_structure_count(self):
-        tables = compile_taxonomy()
-        assert int(tables.valid.sum()) == 406
+        table = compile_taxonomy()
+        assert len(table) == STRUCT_SPACE == 3888
+        assert sum(entry is not None for entry in table) == 406
         assert len(valid_structures()) == 406
-        assert tables.valid.shape == (STRUCT_SPACE,)
 
     def test_compile_is_cached(self):
         assert compile_taxonomy() is compile_taxonomy()
@@ -58,6 +76,24 @@ class TestCompiledTables:
             signature = structural_signature(ips_rank, dps_rank, kinds)
             assert signature.ips.multiplicity.rank == ips_rank
             assert signature.dps.multiplicity.rank == dps_rank
+            assert structure_of(signature) == (ips_rank, dps_rank, kinds)
+
+    def test_index_order_matches_struct_index(self):
+        structures = _all_structures()
+        assert [struct_index(*s) for s in structures] == list(range(STRUCT_SPACE))
+
+    def test_every_unconstructible_index_is_rejected_by_the_scalar_validator(self):
+        table = compile_taxonomy()
+        for index, structure in enumerate(_all_structures()):
+            if table[index] is None:
+                with pytest.raises(SignatureError):
+                    structural_signature(*structure)
+            else:
+                signature = structural_signature(*structure)
+                assert table[index] == (
+                    canonical_class(signature),
+                    score_signature(signature),
+                )
 
 
 class TestClassifyParity:
@@ -91,13 +127,33 @@ class TestClassifyParity:
             1, 64, ip_dp="1-64", ip_im="1-1", dp_dm="64x64", dp_dp="64x64"
         )
         batch = SignatureBatch.from_signatures([morpho])
-        rebuilt = batch.signature(0)
-        # Link endpoints are stored structurally (the canonical symbols),
-        # but the component counts survive.
-        assert rebuilt.ips == morpho.ips
-        assert rebuilt.dps == morpho.dps
-        assert rebuilt.link_kinds() == morpho.link_kinds()
-        assert_scalar_parity([morpho, rebuilt])
+        # The batch keeps the signature itself, concrete counts and all.
+        assert batch[0] is morpho
+        assert classify_batch(batch).classification(0, morpho).signature is morpho
+        assert_scalar_parity([morpho])
+
+
+class TestClassifyBatch:
+    def test_unconstructible_row_is_named(self):
+        # A stand-in whose ranks encode 0 IPs and variable DPs with no
+        # links at all, which the scalar constructor never builds.
+        def cell(rank):
+            return SimpleNamespace(
+                multiplicity=SimpleNamespace(rank=rank), kind=SimpleNamespace(rank=rank)
+            )
+
+        bogus = SimpleNamespace(
+            ips=cell(0), dps=cell(3), ip_ip=cell(0), ip_dp=cell(0),
+            ip_im=cell(0), dp_dm=cell(0), dp_dp=cell(0),
+        )
+        good = all_classes()[0].signature
+        with pytest.raises(SignatureError, match="batch row 1"):
+            classify_batch(SignatureBatch.from_signatures([good, bogus, good]))
+
+    def test_entries_are_shared(self):
+        signatures = [cls.signature for cls in all_classes()] * 2
+        classified = classify_batch(SignatureBatch.from_signatures(signatures))
+        assert classified[0] is classified[47]
 
 
 @st.composite
@@ -119,10 +175,6 @@ class TestHypothesisParity:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(random_rows(), min_size=1, max_size=8))
     def test_random_rows_match_scalar(self, rows):
-        from dataclasses import replace
-
-        from repro.core.components import ComponentCount
-
         signatures = []
         for ips_rank, dps_rank, kinds, iv, dv in rows:
             base = structural_signature(ips_rank, dps_rank, kinds)
@@ -134,42 +186,3 @@ class TestHypothesisParity:
                 )
             )
         assert_scalar_parity(signatures)
-
-
-class TestFromColumns:
-    def test_round_trips_from_signatures(self):
-        signatures = [cls.signature for cls in all_classes()]
-        source = SignatureBatch.from_signatures(signatures)
-        rebuilt = SignatureBatch.from_columns(
-            source.ips_rank, source.dps_rank, source.kinds,
-            source.ips_value, source.dps_value,
-        )
-        assert list(rebuilt.signatures()) == signatures
-
-    def test_unconstructible_row_is_named(self):
-        # An all-NONE link row with plural DPs never validates scalar-side.
-        with pytest.raises(SignatureError, match="row 0"):
-            SignatureBatch.from_columns(
-                np.array([0]), np.array([3]), np.zeros((1, 5), dtype=int)
-            )
-
-    def test_rank_bounds_checked(self):
-        with pytest.raises(SignatureError, match="0..3"):
-            SignatureBatch.from_columns(
-                np.array([4]), np.array([1]), np.zeros((1, 5), dtype=int)
-            )
-
-    def test_value_rank_consistency_checked(self):
-        dup = make_signature(0, 1, dp_dm="1-1")
-        source = SignatureBatch.from_signatures([dup])
-        with pytest.raises(SignatureError, match="inconsistent"):
-            SignatureBatch.from_columns(
-                source.ips_rank, source.dps_rank, source.kinds,
-                source.ips_value, np.array([9]),
-            )
-
-    def test_shape_mismatch_checked(self):
-        with pytest.raises(SignatureError, match="shapes disagree"):
-            SignatureBatch.from_columns(
-                np.array([0, 0]), np.array([1]), np.zeros((1, 5), dtype=int)
-            )

@@ -89,6 +89,21 @@ def test_costs_and_classify_are_served_without_the_perf_package():
     assert _loaded_after(statement, ("repro.perf",)) == []
 
 
+def test_classify_batches_are_served_without_numpy():
+    statement = (
+        "import json\n"
+        "from repro.serve.server import ServerConfig, ServiceApp\n"
+        "app = ServiceApp(ServerConfig(port=0))\n"
+        "item = {'ips': '1', 'dps': 'n', 'ip-dp': '1-n', 'ip-im': '1-1',\n"
+        "        'dp-dm': 'nxn', 'dp-dp': 'nxn'}\n"
+        "body = json.dumps({'items': [item, dict(item, dps='64', **{'ip-dp': '1-64'})]})\n"
+        "response = app.dispatch('POST', '/v1/classify', body.encode())\n"
+        "assert response.status == 200 and response.payload['errors'] == 0\n"
+        "app.shutdown()\n"
+    )
+    assert _loaded_after(statement, ("numpy",)) == []
+
+
 #: The process pool's modules: no CLI command loads them.
 POOL = ("concurrent.futures", "multiprocessing")
 
@@ -104,8 +119,12 @@ POOL = ("concurrent.futures", "multiprocessing")
         (["costs"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),
         (["dse"], ("networkx", "numpy", "repro.core.batch", "repro.perf.journal", *POOL)),
         (["faults", "--out", "-"], ("numpy", *POOL)),
+        (
+            "populations describe --size 200 --mode uniform".split(),
+            ("numpy", "networkx", *POOL),
+        ),
     ],
-    ids=["table1", "classify", "costs", "dse", "faults"],
+    ids=["table1", "classify", "costs", "dse", "faults", "populations"],
 )
 def test_cli_command_loads_only_what_it_runs(argv, never):
     statement = (

@@ -9,7 +9,6 @@ from repro.registry.populations import (
     PopulationSpec,
     class_occupancy,
     describe_population,
-    generate_batch,
     generate_signatures,
 )
 from repro.core.taxonomy import all_classes
@@ -28,15 +27,6 @@ class TestDeterminism:
         a = generate_signatures(PopulationSpec(size=300, seed=1))
         b = generate_signatures(PopulationSpec(size=300, seed=2))
         assert a != b
-
-    def test_batch_matches_signatures(self):
-        spec = PopulationSpec(size=50, seed=3)
-        signatures = generate_signatures(spec)
-        batch = generate_batch(spec)
-        assert list(batch.signatures()) == [
-            batch.signature(row) for row in range(len(batch))
-        ]
-        assert len(batch) == len(signatures)
 
 
 class TestStratification:

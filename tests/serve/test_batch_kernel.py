@@ -1,8 +1,8 @@
 """Batch ``/v1/classify`` against its oracle: the same items sent one by one.
 
-Classify batches run through the vectorized :mod:`repro.core.batch`
-kernel; single requests run the scalar classifier. The kernel must be
-unobservable from outside: every ``results[i]`` is byte-identical to
+Classify batches look each item up in :mod:`repro.core.batch`'s
+compiled table; single requests run the scalar classifier. The table
+must be unobservable from outside: every ``results[i]`` is byte-identical to
 the body that a single ``POST /v1/classify`` of that item returns from
 a fresh app (error bodies included), and the response cache ends with
 the same accounting as after sending the items one by one.
